@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace rfsm {
@@ -59,16 +60,6 @@ bool fromHex(const std::string& text, std::uint32_t& value) {
   return true;
 }
 
-/// FNV-1a over the payload bytes; order-sensitive input to the chain.
-std::uint64_t fnv64(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::uint32_t fold32(std::uint64_t x) {
   return static_cast<std::uint32_t>(x ^ (x >> 32));
 }
@@ -76,13 +67,13 @@ std::uint32_t fold32(std::uint64_t x) {
 }  // namespace
 
 RecordLog::RecordLog(std::string header)
-    : header_(std::move(header)), chain_(mix64(fnv64(header_))) {}
+    : header_(std::move(header)), chain_(mix64(fnv1a64(header_))) {}
 
 std::string RecordLog::appendLine(const std::string& payload) {
   RFSM_CHECK(!payload.empty(), "record log payloads must be non-empty");
   RFSM_CHECK(payload.find('\n') == std::string::npos,
              "record log payloads must be single-line");
-  chain_ = mix64(chain_ ^ fnv64(payload));
+  chain_ = mix64(chain_ ^ fnv1a64(payload));
   return payload + " " + toHex(fold32(chain_)) + "\n";
 }
 
@@ -126,7 +117,7 @@ RecordLog::Parsed RecordLog::parse(const std::string& header,
       damage = "bad checksum field '" + line.substr(space + 1) + "'";
     else {
       payload = trim(line.substr(0, space));
-      const std::uint64_t next = mix64(chain.chain_ ^ fnv64(payload));
+      const std::uint64_t next = mix64(chain.chain_ ^ fnv1a64(payload));
       if (payload.empty())
         damage = "empty record payload";
       else if (fold32(next) != checksum)

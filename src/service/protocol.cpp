@@ -1,6 +1,8 @@
 #include "service/protocol.hpp"
 
 #include <bit>
+#include <tuple>
+#include <type_traits>
 
 #include "core/jsr.hpp"
 #include "core/program.hpp"
@@ -14,92 +16,6 @@
 
 namespace rfsm::service {
 namespace {
-
-void putSpec(ipc::MessageWriter& writer, const BatchSpec& spec) {
-  writer.u32(static_cast<std::uint32_t>(spec.stateCount));
-  writer.u32(static_cast<std::uint32_t>(spec.inputCount));
-  writer.u32(static_cast<std::uint32_t>(spec.outputCount));
-  writer.u32(static_cast<std::uint32_t>(spec.deltaCount));
-  writer.u32(static_cast<std::uint32_t>(spec.newStateCount));
-  writer.u64(spec.instanceCount);
-  writer.u64(spec.seed);
-  writer.str(spec.planner);
-  writer.u32(static_cast<std::uint32_t>(spec.eaPopulation));
-  writer.u32(static_cast<std::uint32_t>(spec.eaGenerations));
-}
-
-BatchSpec getSpec(ipc::MessageReader& reader) {
-  BatchSpec spec;
-  spec.stateCount = static_cast<int>(reader.u32());
-  spec.inputCount = static_cast<int>(reader.u32());
-  spec.outputCount = static_cast<int>(reader.u32());
-  spec.deltaCount = static_cast<int>(reader.u32());
-  spec.newStateCount = static_cast<int>(reader.u32());
-  spec.instanceCount = reader.u64();
-  spec.seed = reader.u64();
-  spec.planner = reader.str();
-  spec.eaPopulation = static_cast<int>(reader.u32());
-  spec.eaGenerations = static_cast<int>(reader.u32());
-  return spec;
-}
-
-void putContext(ipc::MessageWriter& writer,
-                const trace::TraceContext& context) {
-  writer.u64(context.traceIdHi);
-  writer.u64(context.traceIdLo);
-  writer.u64(context.spanId);
-  writer.u32(context.sampled ? 1 : 0);
-}
-
-trace::TraceContext getContext(ipc::MessageReader& reader) {
-  trace::TraceContext context;
-  context.traceIdHi = reader.u64();
-  context.traceIdLo = reader.u64();
-  context.spanId = reader.u64();
-  context.sampled = reader.u32() != 0;
-  return context;
-}
-
-/// Doubles ride as IEEE-754 bit patterns — exact round-trip, no locale or
-/// precision games.
-void putF64(ipc::MessageWriter& writer, double value) {
-  writer.u64(std::bit_cast<std::uint64_t>(value));
-}
-
-double getF64(ipc::MessageReader& reader) {
-  return std::bit_cast<double>(reader.u64());
-}
-
-void expectType(ipc::MessageReader& reader, MessageType expected) {
-  const auto tag = reader.u32();
-  if (tag != static_cast<std::uint32_t>(expected))
-    throw ipc::IpcError("unexpected message type " + std::to_string(tag) +
-                        " (expected " +
-                        std::to_string(static_cast<std::uint32_t>(expected)) +
-                        ")");
-}
-
-WorkResult::Status statusFromWire(std::uint32_t value) {
-  switch (value) {
-    case 0: return WorkResult::Status::kOk;
-    case 1: return WorkResult::Status::kFailed;
-    case 2: return WorkResult::Status::kDeadlineExceeded;
-    case 3: return WorkResult::Status::kShed;
-    case 4: return WorkResult::Status::kUnavailable;
-  }
-  throw ipc::IpcError("unknown status code " + std::to_string(value));
-}
-
-std::uint32_t statusToWire(WorkResult::Status status) {
-  switch (status) {
-    case WorkResult::Status::kOk: return 0;
-    case WorkResult::Status::kFailed: return 1;
-    case WorkResult::Status::kDeadlineExceeded: return 2;
-    case WorkResult::Status::kShed: return 3;
-    case WorkResult::Status::kUnavailable: return 4;
-  }
-  return 1;
-}
 
 // --- Instance cache ------------------------------------------------------
 //
@@ -276,417 +192,267 @@ std::vector<std::string> planRange(const BatchSpec& spec, std::uint64_t lo,
   return texts;
 }
 
-// --- Plan request / response --------------------------------------------
-
-std::string encodePlanRequest(const PlanRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kPlanRequest));
-  putSpec(writer, request.spec);
-  writer.i64(request.deadlineMs);
-  writer.u64(request.requestId);
-  writer.u64(request.lo);
-  writer.u64(request.hi);
-  putContext(writer, request.context);
-  return writer.take();
-}
-
-PlanRequest decodePlanRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kPlanRequest);
-  PlanRequest request;
-  request.spec = getSpec(reader);
-  request.deadlineMs = reader.i64();
-  request.requestId = reader.u64();
-  request.lo = reader.u64();
-  request.hi = reader.u64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodePlanResponse(const PlanResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kPlanResponse));
-  writer.u32(statusToWire(response.status));
-  writer.str(response.error);
-  writer.u64(response.retries);
-  writer.u64(response.crashes);
-  writer.u64(response.cacheHits);
-  writer.u32(static_cast<std::uint32_t>(response.programs.size()));
-  for (const auto& program : response.programs) writer.str(program);
-  return writer.take();
-}
-
-PlanResponse decodePlanResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kPlanResponse);
-  PlanResponse response;
-  response.status = statusFromWire(reader.u32());
-  response.error = reader.str();
-  response.retries = reader.u64();
-  response.crashes = reader.u64();
-  response.cacheHits = reader.u64();
-  const std::uint32_t count = reader.u32();
-  response.programs.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k)
-    response.programs.push_back(reader.str());
-  reader.expectEnd();
-  return response;
-}
-
-// --- Shard request / response -------------------------------------------
-
-std::string encodeShardRequest(const ShardRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kShardRequest));
-  putSpec(writer, request.spec);
-  writer.u64(request.lo);
-  writer.u64(request.hi);
-  writer.i64(request.deadlineNs);
-  putContext(writer, request.context);
-  return writer.take();
-}
-
-ShardRequest decodeShardRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kShardRequest);
-  ShardRequest request;
-  request.spec = getSpec(reader);
-  request.lo = reader.u64();
-  request.hi = reader.u64();
-  request.deadlineNs = reader.i64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeShardResponse(const ShardResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kShardResponse));
-  writer.u32(statusToWire(response.status));
-  writer.str(response.error);
-  writer.u32(static_cast<std::uint32_t>(response.programs.size()));
-  for (const auto& program : response.programs) writer.str(program);
-  return writer.take();
-}
-
-ShardResponse decodeShardResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kShardResponse);
-  ShardResponse response;
-  response.status = statusFromWire(reader.u32());
-  response.error = reader.str();
-  const std::uint32_t count = reader.u32();
-  response.programs.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k)
-    response.programs.push_back(reader.str());
-  reader.expectEnd();
-  return response;
-}
-
-// --- Health probe --------------------------------------------------------
-
-std::string encodeHealthRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHealthRequest));
-  return writer.take();
-}
-
-std::string encodeHealthResponse(const HealthResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHealthResponse));
-  writer.u32(response.healthy ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(response.workersAlive));
-  writer.u32(static_cast<std::uint32_t>(response.workersConfigured));
-  writer.u64(response.queueDepth);
-  writer.u64(response.crashes);
-  writer.u64(response.retries);
-  writer.u64(response.shed);
-  return writer.take();
-}
-
-HealthResponse decodeHealthResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHealthResponse);
-  HealthResponse response;
-  response.healthy = reader.u32() != 0;
-  response.workersAlive = static_cast<int>(reader.u32());
-  response.workersConfigured = static_cast<int>(reader.u32());
-  response.queueDepth = reader.u64();
-  response.crashes = reader.u64();
-  response.retries = reader.u64();
-  response.shed = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-// --- Worker warm-up -------------------------------------------------------
-
-std::string encodeWarmupRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kWarmupRequest));
-  return writer.take();
-}
-
-std::string encodeWarmupResponse() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kWarmupResponse));
-  return writer.take();
-}
-
-void decodeWarmupResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kWarmupResponse);
-  reader.expectEnd();
-}
-
-// --- Live stats plane -----------------------------------------------------
+// --- Wire codec -------------------------------------------------------------
+//
+// A frame is its MessageType tag (u32) followed by the fields of its message
+// struct, in the order of that struct's field list below.  One generic
+// writer and one generic reader interpret every list, so a frame has exactly
+// one definition.  A list is the wire order, which is not always the
+// declaration order (PlanResponse sends its programs last); editing a list
+// changes the layout, so it needs a kProtocolVersion bump and a regenerated
+// Protocol.GoldenBytesPinTheWireLayout table.
 
 namespace {
 
-void putSnapshot(ipc::MessageWriter& writer,
-                 const metrics::Snapshot& snapshot) {
-  writer.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const auto& c : snapshot.counters) {
-    writer.str(c.name);
-    writer.u64(c.value);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const auto& g : snapshot.gauges) {
-    writer.str(g.name);
-    writer.i64(g.value);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.timers.size()));
-  for (const auto& t : snapshot.timers) {
-    writer.str(t.name);
-    writer.u64(t.count);
-    putF64(writer, t.totalMs);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-  for (const auto& h : snapshot.histograms) {
-    writer.str(h.name);
-    writer.u64(h.count);
-    putF64(writer, h.p50Ms);
-    putF64(writer, h.p90Ms);
-    putF64(writer, h.p99Ms);
-    putF64(writer, h.maxMs);
-  }
-  writer.u32(static_cast<std::uint32_t>(snapshot.rolling.size()));
-  for (const auto& w : snapshot.rolling) {
-    writer.str(w.name);
-    writer.u64(w.count);
-    putF64(writer, w.p50Ms);
-    putF64(writer, w.p90Ms);
-    putF64(writer, w.p99Ms);
-    putF64(writer, w.maxMs);
-    writer.i64(w.windowMs);
+/// Declares the field list of `Type` in wire order; `m` names the message.
+#define RFSM_WIRE_FIELDS(Type, ...)                        \
+  auto fields(Type& m) { return std::tie(__VA_ARGS__); } \
+  auto fields(const Type& m) { return std::tie(__VA_ARGS__); }
+
+RFSM_WIRE_FIELDS(BatchSpec, m.stateCount, m.inputCount, m.outputCount,
+                 m.deltaCount, m.newStateCount, m.instanceCount, m.seed,
+                 m.planner, m.eaPopulation, m.eaGenerations)
+RFSM_WIRE_FIELDS(trace::TraceContext, m.traceIdHi, m.traceIdLo, m.spanId,
+                 m.sampled)
+RFSM_WIRE_FIELDS(PlanRequest, m.spec, m.deadlineMs, m.requestId, m.lo, m.hi,
+                 m.context)
+RFSM_WIRE_FIELDS(PlanResponse, m.status, m.error, m.retries, m.crashes,
+                 m.cacheHits, m.programs)
+RFSM_WIRE_FIELDS(ShardRequest, m.spec, m.lo, m.hi, m.deadlineNs, m.context)
+RFSM_WIRE_FIELDS(ShardResponse, m.status, m.error, m.programs)
+RFSM_WIRE_FIELDS(HealthResponse, m.healthy, m.workersAlive,
+                 m.workersConfigured, m.queueDepth, m.crashes, m.retries,
+                 m.shed)
+RFSM_WIRE_FIELDS(metrics::CounterSample, m.name, m.value)
+RFSM_WIRE_FIELDS(metrics::GaugeSample, m.name, m.value)
+RFSM_WIRE_FIELDS(metrics::TimerSample, m.name, m.count, m.totalMs)
+RFSM_WIRE_FIELDS(metrics::HistogramSample, m.name, m.count, m.p50Ms, m.p90Ms,
+                 m.p99Ms, m.maxMs)
+RFSM_WIRE_FIELDS(metrics::RollingSample, m.name, m.count, m.p50Ms, m.p90Ms,
+                 m.p99Ms, m.maxMs, m.windowMs)
+RFSM_WIRE_FIELDS(metrics::Snapshot, m.counters, m.gauges, m.timers,
+                 m.histograms, m.rolling)
+RFSM_WIRE_FIELDS(StatsResponse::PlanCacheStats, m.enabled, m.size,
+                 m.capacity)
+RFSM_WIRE_FIELDS(StatsResponse::BreakerStats, m.name, m.state, m.trips)
+RFSM_WIRE_FIELDS(StatsResponse::SessionStats, m.tenant, m.name, m.priority,
+                 m.weight, m.vtime, m.tokensRemaining, m.queued, m.applied,
+                 m.walAgeMs, m.snapshotAgeMs, m.role, m.epoch)
+RFSM_WIRE_FIELDS(StatsResponse, m.pid, m.uptimeMs, m.draining, m.workers,
+                 m.planCache, m.breakers, m.sessions, m.openSessions,
+                 m.schedulerDepth, m.schedulerVirtualNow, m.metrics)
+RFSM_WIRE_FIELDS(TraceDumpRequest, m.clientSteadyNs)
+RFSM_WIRE_FIELDS(TraceDumpResponse, m.serverSteadyNs, m.clientSteadyNs,
+                 m.traceJson)
+RFSM_WIRE_FIELDS(SessionOpenRequest, m.tenant, m.name, m.priority, m.weight,
+                 m.planner, m.stateCount, m.inputCount, m.outputCount, m.seed,
+                 m.resume)
+RFSM_WIRE_FIELDS(SessionOpenResponse, m.status, m.error, m.lastApplied,
+                 m.retryAfterMs)
+RFSM_WIRE_FIELDS(SessionMutateRequest, m.tenant, m.name, m.seq, m.deltaCount,
+                 m.newStateCount, m.mutationSeed, m.defer, m.ackSeq,
+                 m.context)
+RFSM_WIRE_FIELDS(SessionMutateResponse, m.status, m.error, m.seq, m.program,
+                 m.compactedFrom, m.deltasPlanned, m.deltasRaw,
+                 m.retryAfterMs)
+RFSM_WIRE_FIELDS(SessionReplayRequest, m.tenant, m.name, m.fromSeq, m.toSeq)
+RFSM_WIRE_FIELDS(SessionReplayResponse::Entry, m.seq, m.program)
+RFSM_WIRE_FIELDS(SessionReplayResponse, m.status, m.error, m.entries)
+RFSM_WIRE_FIELDS(SessionCloseRequest, m.tenant, m.name)
+RFSM_WIRE_FIELDS(SessionCloseResponse, m.status, m.error, m.mutationsApplied,
+                 m.plans)
+RFSM_WIRE_FIELDS(SessionReplAppendRequest, m.tenant, m.name, m.priority,
+                 m.weight, m.planner, m.stateCount, m.inputCount,
+                 m.outputCount, m.seed, m.epoch, m.seq, m.deltaCount,
+                 m.newStateCount, m.mutationSeed, m.defer)
+RFSM_WIRE_FIELDS(SessionReplAppendResponse, m.status, m.error, m.epoch,
+                 m.lastAccepted)
+RFSM_WIRE_FIELDS(SessionReplSnapshotRequest, m.tenant, m.name, m.epoch,
+                 m.snapshot)
+RFSM_WIRE_FIELDS(SessionReplSnapshotResponse, m.status, m.error, m.epoch,
+                 m.lastAccepted)
+RFSM_WIRE_FIELDS(SessionStatusRequest, m.tenant, m.name)
+RFSM_WIRE_FIELDS(SessionStatusResponse, m.status, m.error, m.role, m.epoch,
+                 m.lastAccepted, m.applied)
+RFSM_WIRE_FIELDS(HandshakeRequest, m.version, m.features)
+RFSM_WIRE_FIELDS(HandshakeResponse, m.accepted, m.version, m.features,
+                 m.error)
+
+#undef RFSM_WIRE_FIELDS
+
+/// The body of a frame that is nothing but its tag.
+struct TagOnly {};
+std::tuple<> fields(const TagOnly&) { return {}; }
+
+/// The last valid value of each enum a frame carries; decoding rejects any
+/// wire value above it.
+constexpr WorkResult::Status lastValue(WorkResult::Status) {
+  return WorkResult::Status::kUnavailable;
+}
+constexpr SessionStatus lastValue(SessionStatus) {
+  return SessionStatus::kStaleEpoch;
+}
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <class T>
+inline constexpr bool kIs64BitInteger =
+    std::is_same_v<T, std::uint64_t> || std::is_same_v<T, std::int64_t>;
+
+/// The generic writer.  Ints, bools and enums ride as u32; doubles ride as
+/// IEEE-754 bit patterns — exact round-trip, no locale or precision games;
+/// strings and vectors carry a u32 length prefix; structs go inline.
+template <class T>
+void put(ipc::MessageWriter& writer, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    writer.str(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    writer.u64(std::bit_cast<std::uint64_t>(value));
+  } else if constexpr (kIs64BitInteger<T>) {
+    writer.u64(static_cast<std::uint64_t>(value));
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    static_assert(sizeof(T) <= 4, "64-bit integers ride as u64");
+    writer.u32(static_cast<std::uint32_t>(value));
+  } else if constexpr (kIsVector<T>) {
+    writer.u32(static_cast<std::uint32_t>(value.size()));
+    for (const auto& element : value) put(writer, element);
+  } else {
+    std::apply([&](const auto&... field) { (put(writer, field), ...); },
+               fields(value));
   }
 }
 
-metrics::Snapshot getSnapshot(ipc::MessageReader& reader) {
-  metrics::Snapshot snapshot;
-  std::uint32_t count = reader.u32();
-  snapshot.counters.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::CounterSample c;
-    c.name = reader.str();
-    c.value = reader.u64();
-    snapshot.counters.push_back(std::move(c));
+/// The generic reader, mirroring put.  Throws IpcError on truncation, an
+/// out-of-range enum, or an element count the payload cannot hold.
+template <class T>
+void get(ipc::MessageReader& reader, T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    value = reader.str();
+  } else if constexpr (std::is_same_v<T, double>) {
+    value = std::bit_cast<double>(reader.u64());
+  } else if constexpr (kIs64BitInteger<T>) {
+    value = static_cast<T>(reader.u64());
+  } else if constexpr (std::is_same_v<T, bool>) {
+    value = reader.u32() != 0;
+  } else if constexpr (std::is_enum_v<T>) {
+    const std::uint32_t raw = reader.u32();
+    if (raw > static_cast<std::uint32_t>(lastValue(T{})))
+      throw ipc::IpcError("unknown status code " + std::to_string(raw));
+    value = static_cast<T>(raw);
+  } else if constexpr (std::is_integral_v<T>) {
+    value = static_cast<T>(reader.u32());
+  } else if constexpr (kIsVector<T>) {
+    // Every wire value is at least 4 bytes, so a larger count is a lie —
+    // and trusting it would turn a forged frame into a std::bad_alloc that
+    // no caller's catch of rfsm::Error contains.
+    const std::uint32_t count = reader.u32();
+    if (count > reader.remaining() / 4)
+      throw ipc::IpcError("element count " + std::to_string(count) +
+                          " exceeds the payload");
+    value.resize(count);
+    for (auto& element : value) get(reader, element);
+  } else {
+    std::apply([&](auto&... field) { (get(reader, field), ...); },
+               fields(value));
   }
-  count = reader.u32();
-  snapshot.gauges.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::GaugeSample g;
-    g.name = reader.str();
-    g.value = reader.i64();
-    snapshot.gauges.push_back(std::move(g));
-  }
-  count = reader.u32();
-  snapshot.timers.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::TimerSample t;
-    t.name = reader.str();
-    t.count = reader.u64();
-    t.totalMs = getF64(reader);
-    snapshot.timers.push_back(std::move(t));
-  }
-  count = reader.u32();
-  snapshot.histograms.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::HistogramSample h;
-    h.name = reader.str();
-    h.count = reader.u64();
-    h.p50Ms = getF64(reader);
-    h.p90Ms = getF64(reader);
-    h.p99Ms = getF64(reader);
-    h.maxMs = getF64(reader);
-    snapshot.histograms.push_back(std::move(h));
-  }
-  count = reader.u32();
-  snapshot.rolling.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    metrics::RollingSample w;
-    w.name = reader.str();
-    w.count = reader.u64();
-    w.p50Ms = getF64(reader);
-    w.p90Ms = getF64(reader);
-    w.p99Ms = getF64(reader);
-    w.maxMs = getF64(reader);
-    w.windowMs = reader.i64();
-    snapshot.rolling.push_back(std::move(w));
-  }
-  return snapshot;
+}
+
+template <class Msg>
+std::string encodeFrame(MessageType type, const Msg& message) {
+  ipc::MessageWriter writer;
+  put(writer, type);
+  put(writer, message);
+  return writer.take();
+}
+
+template <class Msg>
+Msg decodeFrame(MessageType type, const std::string& payload) {
+  ipc::MessageReader reader(payload);
+  const std::uint32_t tag = reader.u32();
+  if (tag != static_cast<std::uint32_t>(type))
+    throw ipc::IpcError("unexpected message type " + std::to_string(tag) +
+                        " (expected " +
+                        std::to_string(static_cast<std::uint32_t>(type)) +
+                        ")");
+  Msg message;
+  get(reader, message);
+  reader.expectEnd();
+  return message;
 }
 
 }  // namespace
 
+/// Defines encodeX/decodeX for message struct X, framed as MessageType::kX.
+#define RFSM_WIRE_CODEC(Msg)                                 \
+  std::string encode##Msg(const Msg& message) {              \
+    return encodeFrame(MessageType::k##Msg, message);        \
+  }                                                          \
+  Msg decode##Msg(const std::string& payload) {              \
+    return decodeFrame<Msg>(MessageType::k##Msg, payload);   \
+  }
+
+RFSM_WIRE_CODEC(PlanRequest)
+RFSM_WIRE_CODEC(PlanResponse)
+RFSM_WIRE_CODEC(ShardRequest)
+RFSM_WIRE_CODEC(ShardResponse)
+RFSM_WIRE_CODEC(HealthResponse)
+RFSM_WIRE_CODEC(StatsResponse)
+RFSM_WIRE_CODEC(TraceDumpRequest)
+RFSM_WIRE_CODEC(TraceDumpResponse)
+RFSM_WIRE_CODEC(SessionOpenRequest)
+RFSM_WIRE_CODEC(SessionOpenResponse)
+RFSM_WIRE_CODEC(SessionMutateRequest)
+RFSM_WIRE_CODEC(SessionMutateResponse)
+RFSM_WIRE_CODEC(SessionReplayRequest)
+RFSM_WIRE_CODEC(SessionReplayResponse)
+RFSM_WIRE_CODEC(SessionCloseRequest)
+RFSM_WIRE_CODEC(SessionCloseResponse)
+RFSM_WIRE_CODEC(SessionReplAppendRequest)
+RFSM_WIRE_CODEC(SessionReplAppendResponse)
+RFSM_WIRE_CODEC(SessionReplSnapshotRequest)
+RFSM_WIRE_CODEC(SessionReplSnapshotResponse)
+RFSM_WIRE_CODEC(SessionStatusRequest)
+RFSM_WIRE_CODEC(SessionStatusResponse)
+RFSM_WIRE_CODEC(HandshakeRequest)
+RFSM_WIRE_CODEC(HandshakeResponse)
+
+#undef RFSM_WIRE_CODEC
+
+std::string encodeHealthRequest() {
+  return encodeFrame(MessageType::kHealthRequest, TagOnly{});
+}
+
+std::string encodeWarmupRequest() {
+  return encodeFrame(MessageType::kWarmupRequest, TagOnly{});
+}
+
+std::string encodeWarmupResponse() {
+  return encodeFrame(MessageType::kWarmupResponse, TagOnly{});
+}
+
+void decodeWarmupResponse(const std::string& payload) {
+  decodeFrame<TagOnly>(MessageType::kWarmupResponse, payload);
+}
+
 std::string encodeStatsRequest() {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kStatsRequest));
-  return writer.take();
+  return encodeFrame(MessageType::kStatsRequest, TagOnly{});
 }
 
 void decodeStatsRequest(const std::string& payload) {
+  decodeFrame<TagOnly>(MessageType::kStatsRequest, payload);
+}
+
+MessageType peekType(const std::string& payload) {
   ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kStatsRequest);
-  reader.expectEnd();
+  const std::uint32_t tag = reader.u32();
+  if (tag < static_cast<std::uint32_t>(MessageType::kPlanRequest) ||
+      tag > static_cast<std::uint32_t>(kLastMessageType))
+    throw ipc::IpcError("unknown message type " + std::to_string(tag));
+  return static_cast<MessageType>(tag);
 }
-
-std::string encodeStatsResponse(const StatsResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kStatsResponse));
-  writer.i64(response.pid);
-  writer.i64(response.uptimeMs);
-  writer.u32(response.draining ? 1 : 0);
-  writer.u32(response.workers.healthy ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(response.workers.workersAlive));
-  writer.u32(static_cast<std::uint32_t>(response.workers.workersConfigured));
-  writer.u64(response.workers.queueDepth);
-  writer.u64(response.workers.crashes);
-  writer.u64(response.workers.retries);
-  writer.u64(response.workers.shed);
-  writer.u32(response.planCache.enabled ? 1 : 0);
-  writer.u64(response.planCache.size);
-  writer.u64(response.planCache.capacity);
-  writer.u32(static_cast<std::uint32_t>(response.breakers.size()));
-  for (const auto& breaker : response.breakers) {
-    writer.str(breaker.name);
-    writer.str(breaker.state);
-    writer.u64(breaker.trips);
-  }
-  writer.u32(static_cast<std::uint32_t>(response.sessions.size()));
-  for (const auto& session : response.sessions) {
-    writer.str(session.tenant);
-    writer.str(session.name);
-    writer.u32(session.priority);
-    putF64(writer, session.weight);
-    putF64(writer, session.vtime);
-    putF64(writer, session.tokensRemaining);
-    writer.u64(session.queued);
-    writer.u64(session.applied);
-    writer.i64(session.walAgeMs);
-    writer.i64(session.snapshotAgeMs);
-    writer.str(session.role);
-    writer.u64(session.epoch);
-  }
-  writer.u64(response.openSessions);
-  writer.u64(response.schedulerDepth);
-  putF64(writer, response.schedulerVirtualNow);
-  putSnapshot(writer, response.metrics);
-  return writer.take();
-}
-
-StatsResponse decodeStatsResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kStatsResponse);
-  StatsResponse response;
-  response.pid = reader.i64();
-  response.uptimeMs = reader.i64();
-  response.draining = reader.u32() != 0;
-  response.workers.healthy = reader.u32() != 0;
-  response.workers.workersAlive = static_cast<int>(reader.u32());
-  response.workers.workersConfigured = static_cast<int>(reader.u32());
-  response.workers.queueDepth = reader.u64();
-  response.workers.crashes = reader.u64();
-  response.workers.retries = reader.u64();
-  response.workers.shed = reader.u64();
-  response.planCache.enabled = reader.u32() != 0;
-  response.planCache.size = reader.u64();
-  response.planCache.capacity = reader.u64();
-  std::uint32_t count = reader.u32();
-  response.breakers.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    StatsResponse::BreakerStats breaker;
-    breaker.name = reader.str();
-    breaker.state = reader.str();
-    breaker.trips = reader.u64();
-    response.breakers.push_back(std::move(breaker));
-  }
-  count = reader.u32();
-  response.sessions.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    StatsResponse::SessionStats session;
-    session.tenant = reader.str();
-    session.name = reader.str();
-    session.priority = reader.u32();
-    session.weight = getF64(reader);
-    session.vtime = getF64(reader);
-    session.tokensRemaining = getF64(reader);
-    session.queued = reader.u64();
-    session.applied = reader.u64();
-    session.walAgeMs = reader.i64();
-    session.snapshotAgeMs = reader.i64();
-    session.role = reader.str();
-    session.epoch = reader.u64();
-    response.sessions.push_back(std::move(session));
-  }
-  response.openSessions = reader.u64();
-  response.schedulerDepth = reader.u64();
-  response.schedulerVirtualNow = getF64(reader);
-  response.metrics = getSnapshot(reader);
-  reader.expectEnd();
-  return response;
-}
-
-// --- Trace dump -----------------------------------------------------------
-
-std::string encodeTraceDumpRequest(const TraceDumpRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kTraceDumpRequest));
-  writer.i64(request.clientSteadyNs);
-  return writer.take();
-}
-
-TraceDumpRequest decodeTraceDumpRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kTraceDumpRequest);
-  TraceDumpRequest request;
-  request.clientSteadyNs = reader.i64();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeTraceDumpResponse(const TraceDumpResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kTraceDumpResponse));
-  writer.i64(response.serverSteadyNs);
-  writer.i64(response.clientSteadyNs);
-  writer.str(response.traceJson);
-  return writer.take();
-}
-
-TraceDumpResponse decodeTraceDumpResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kTraceDumpResponse);
-  TraceDumpResponse response;
-  response.serverSteadyNs = reader.i64();
-  response.clientSteadyNs = reader.i64();
-  response.traceJson = reader.str();
-  reader.expectEnd();
-  return response;
-}
-
-// --- Session streaming ----------------------------------------------------
 
 const char* toString(SessionStatus status) {
   switch (status) {
@@ -700,480 +466,6 @@ const char* toString(SessionStatus status) {
     case SessionStatus::kStaleEpoch: return "STALE_EPOCH";
   }
   return "FAILED";
-}
-
-namespace {
-
-SessionStatus sessionStatusFromWire(std::uint32_t value) {
-  if (value > static_cast<std::uint32_t>(SessionStatus::kStaleEpoch))
-    throw ipc::IpcError("unknown session status code " +
-                        std::to_string(value));
-  return static_cast<SessionStatus>(value);
-}
-
-}  // namespace
-
-std::string encodeSessionOpenRequest(const SessionOpenRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionOpenRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u32(request.priority);
-  writer.u32(request.weight);
-  writer.str(request.planner);
-  writer.u32(static_cast<std::uint32_t>(request.stateCount));
-  writer.u32(static_cast<std::uint32_t>(request.inputCount));
-  writer.u32(static_cast<std::uint32_t>(request.outputCount));
-  writer.u64(request.seed);
-  writer.u32(request.resume ? 1 : 0);
-  return writer.take();
-}
-
-SessionOpenRequest decodeSessionOpenRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionOpenRequest);
-  SessionOpenRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.priority = reader.u32();
-  request.weight = reader.u32();
-  request.planner = reader.str();
-  request.stateCount = static_cast<int>(reader.u32());
-  request.inputCount = static_cast<int>(reader.u32());
-  request.outputCount = static_cast<int>(reader.u32());
-  request.seed = reader.u64();
-  request.resume = reader.u32() != 0;
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionOpenResponse(const SessionOpenResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionOpenResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.lastApplied);
-  writer.i64(response.retryAfterMs);
-  return writer.take();
-}
-
-SessionOpenResponse decodeSessionOpenResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionOpenResponse);
-  SessionOpenResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.lastApplied = reader.u64();
-  response.retryAfterMs = reader.i64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionMutateRequest(const SessionMutateRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionMutateRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.seq);
-  writer.u32(request.deltaCount);
-  writer.u32(request.newStateCount);
-  writer.u64(request.mutationSeed);
-  writer.u32(request.defer ? 1 : 0);
-  writer.u64(request.ackSeq);
-  putContext(writer, request.context);
-  return writer.take();
-}
-
-SessionMutateRequest decodeSessionMutateRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionMutateRequest);
-  SessionMutateRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.seq = reader.u64();
-  request.deltaCount = reader.u32();
-  request.newStateCount = reader.u32();
-  request.mutationSeed = reader.u64();
-  request.defer = reader.u32() != 0;
-  request.ackSeq = reader.u64();
-  request.context = getContext(reader);
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionMutateResponse(
-    const SessionMutateResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionMutateResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.seq);
-  writer.str(response.program);
-  writer.u64(response.compactedFrom);
-  writer.u32(response.deltasPlanned);
-  writer.u32(response.deltasRaw);
-  writer.i64(response.retryAfterMs);
-  return writer.take();
-}
-
-SessionMutateResponse decodeSessionMutateResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionMutateResponse);
-  SessionMutateResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.seq = reader.u64();
-  response.program = reader.str();
-  response.compactedFrom = reader.u64();
-  response.deltasPlanned = reader.u32();
-  response.deltasRaw = reader.u32();
-  response.retryAfterMs = reader.i64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionReplayRequest(const SessionReplayRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionReplayRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.fromSeq);
-  writer.u64(request.toSeq);
-  return writer.take();
-}
-
-SessionReplayRequest decodeSessionReplayRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplayRequest);
-  SessionReplayRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.fromSeq = reader.u64();
-  request.toSeq = reader.u64();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplayResponse(
-    const SessionReplayResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionReplayResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u32(static_cast<std::uint32_t>(response.entries.size()));
-  for (const auto& entry : response.entries) {
-    writer.u64(entry.seq);
-    writer.str(entry.program);
-  }
-  return writer.take();
-}
-
-SessionReplayResponse decodeSessionReplayResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplayResponse);
-  SessionReplayResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  const std::uint32_t count = reader.u32();
-  response.entries.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    SessionReplayResponse::Entry entry;
-    entry.seq = reader.u64();
-    entry.program = reader.str();
-    response.entries.push_back(std::move(entry));
-  }
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionCloseRequest(const SessionCloseRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionCloseRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  return writer.take();
-}
-
-SessionCloseRequest decodeSessionCloseRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionCloseRequest);
-  SessionCloseRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionCloseResponse(const SessionCloseResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionCloseResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.mutationsApplied);
-  writer.u64(response.plans);
-  return writer.take();
-}
-
-SessionCloseResponse decodeSessionCloseResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionCloseResponse);
-  SessionCloseResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.mutationsApplied = reader.u64();
-  response.plans = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-// --- Session replication --------------------------------------------------
-
-std::string encodeSessionReplAppendRequest(
-    const SessionReplAppendRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplAppendRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u32(request.priority);
-  writer.u32(request.weight);
-  writer.str(request.planner);
-  writer.u32(static_cast<std::uint32_t>(request.stateCount));
-  writer.u32(static_cast<std::uint32_t>(request.inputCount));
-  writer.u32(static_cast<std::uint32_t>(request.outputCount));
-  writer.u64(request.seed);
-  writer.u64(request.epoch);
-  writer.u64(request.seq);
-  writer.u32(request.deltaCount);
-  writer.u32(request.newStateCount);
-  writer.u64(request.mutationSeed);
-  writer.u32(request.defer ? 1 : 0);
-  return writer.take();
-}
-
-SessionReplAppendRequest decodeSessionReplAppendRequest(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplAppendRequest);
-  SessionReplAppendRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.priority = reader.u32();
-  request.weight = reader.u32();
-  request.planner = reader.str();
-  request.stateCount = static_cast<int>(reader.u32());
-  request.inputCount = static_cast<int>(reader.u32());
-  request.outputCount = static_cast<int>(reader.u32());
-  request.seed = reader.u64();
-  request.epoch = reader.u64();
-  request.seq = reader.u64();
-  request.deltaCount = reader.u32();
-  request.newStateCount = reader.u32();
-  request.mutationSeed = reader.u64();
-  request.defer = reader.u32() != 0;
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplAppendResponse(
-    const SessionReplAppendResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplAppendResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  return writer.take();
-}
-
-SessionReplAppendResponse decodeSessionReplAppendResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplAppendResponse);
-  SessionReplAppendResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionReplSnapshotRequest(
-    const SessionReplSnapshotRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplSnapshotRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  writer.u64(request.epoch);
-  writer.str(request.snapshot);
-  return writer.take();
-}
-
-SessionReplSnapshotRequest decodeSessionReplSnapshotRequest(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplSnapshotRequest);
-  SessionReplSnapshotRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  request.epoch = reader.u64();
-  request.snapshot = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionReplSnapshotResponse(
-    const SessionReplSnapshotResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(
-      static_cast<std::uint32_t>(MessageType::kSessionReplSnapshotResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  return writer.take();
-}
-
-SessionReplSnapshotResponse decodeSessionReplSnapshotResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionReplSnapshotResponse);
-  SessionReplSnapshotResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-std::string encodeSessionStatusRequest(const SessionStatusRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionStatusRequest));
-  writer.str(request.tenant);
-  writer.str(request.name);
-  return writer.take();
-}
-
-SessionStatusRequest decodeSessionStatusRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionStatusRequest);
-  SessionStatusRequest request;
-  request.tenant = reader.str();
-  request.name = reader.str();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeSessionStatusResponse(
-    const SessionStatusResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kSessionStatusResponse));
-  writer.u32(static_cast<std::uint32_t>(response.status));
-  writer.str(response.error);
-  writer.str(response.role);
-  writer.u64(response.epoch);
-  writer.u64(response.lastAccepted);
-  writer.u64(response.applied);
-  return writer.take();
-}
-
-SessionStatusResponse decodeSessionStatusResponse(
-    const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kSessionStatusResponse);
-  SessionStatusResponse response;
-  response.status = sessionStatusFromWire(reader.u32());
-  response.error = reader.str();
-  response.role = reader.str();
-  response.epoch = reader.u64();
-  response.lastAccepted = reader.u64();
-  response.applied = reader.u64();
-  reader.expectEnd();
-  return response;
-}
-
-MessageType peekType(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  const std::uint32_t tag = reader.u32();
-  switch (tag) {
-    case 1: return MessageType::kPlanRequest;
-    case 2: return MessageType::kPlanResponse;
-    case 3: return MessageType::kHealthRequest;
-    case 4: return MessageType::kHealthResponse;
-    case 5: return MessageType::kShardRequest;
-    case 6: return MessageType::kShardResponse;
-    case 7: return MessageType::kWarmupRequest;
-    case 8: return MessageType::kWarmupResponse;
-    case 9: return MessageType::kSessionOpenRequest;
-    case 10: return MessageType::kSessionOpenResponse;
-    case 11: return MessageType::kSessionMutateRequest;
-    case 12: return MessageType::kSessionMutateResponse;
-    case 13: return MessageType::kSessionReplayRequest;
-    case 14: return MessageType::kSessionReplayResponse;
-    case 15: return MessageType::kSessionCloseRequest;
-    case 16: return MessageType::kSessionCloseResponse;
-    case 17: return MessageType::kStatsRequest;
-    case 18: return MessageType::kStatsResponse;
-    case 19: return MessageType::kTraceDumpRequest;
-    case 20: return MessageType::kTraceDumpResponse;
-    case 21: return MessageType::kHandshakeRequest;
-    case 22: return MessageType::kHandshakeResponse;
-    case 23: return MessageType::kSessionReplAppendRequest;
-    case 24: return MessageType::kSessionReplAppendResponse;
-    case 25: return MessageType::kSessionReplSnapshotRequest;
-    case 26: return MessageType::kSessionReplSnapshotResponse;
-    case 27: return MessageType::kSessionStatusRequest;
-    case 28: return MessageType::kSessionStatusResponse;
-  }
-  throw ipc::IpcError("unknown message type " + std::to_string(tag));
-}
-
-// --- Version/feature handshake --------------------------------------------
-
-std::string encodeHandshakeRequest(const HandshakeRequest& request) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHandshakeRequest));
-  writer.u32(request.version);
-  writer.u32(request.features);
-  return writer.take();
-}
-
-HandshakeRequest decodeHandshakeRequest(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHandshakeRequest);
-  HandshakeRequest request;
-  request.version = reader.u32();
-  request.features = reader.u32();
-  reader.expectEnd();
-  return request;
-}
-
-std::string encodeHandshakeResponse(const HandshakeResponse& response) {
-  ipc::MessageWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MessageType::kHandshakeResponse));
-  writer.u32(response.accepted ? 1 : 0);
-  writer.u32(response.version);
-  writer.u32(response.features);
-  writer.str(response.error);
-  return writer.take();
-}
-
-HandshakeResponse decodeHandshakeResponse(const std::string& payload) {
-  ipc::MessageReader reader(payload);
-  expectType(reader, MessageType::kHandshakeResponse);
-  HandshakeResponse response;
-  response.accepted = reader.u32() != 0;
-  response.version = reader.u32();
-  response.features = reader.u32();
-  response.error = reader.str();
-  reader.expectEnd();
-  return response;
 }
 
 HandshakeResponse answerHandshake(const HandshakeRequest& request) {

@@ -68,6 +68,11 @@ enum class MessageType : std::uint32_t {
   kSessionStatusResponse = 28, ///< server -> client
 };
 
+/// The highest tag: peekType accepts 1..kLastMessageType, so a new frame
+/// moves it.
+inline constexpr MessageType kLastMessageType =
+    MessageType::kSessionStatusResponse;
+
 /// A batch of seeded random migration instances (the Table 2 axis): for
 /// instance k, the source machine and its mutated target are generated from
 /// Rng(seed).substream(kGenStreamBase + k), then planned with
@@ -527,7 +532,7 @@ struct SessionReplSnapshotRequest {
   std::string tenant;
   std::string name;
   std::uint64_t epoch = 1;
-  /// Exact bytes of the primary's on-disk snapshot (magic + body + fnv64
+  /// Exact bytes of the primary's on-disk snapshot (magic + body + fnv1a64
   /// trailer); the standby verifies the trailer before installing, so a
   /// corrupted link can never seed a standby with junk.
   std::string snapshot;

@@ -8,25 +8,11 @@
 #include "util/breaker.hpp"
 #include "util/chaos.hpp"
 #include "util/deadline.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 
 namespace rfsm::service {
-namespace {
-
-std::uint64_t fnv64Mix(std::string_view text, std::uint64_t tail) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](unsigned char byte) {
-    h ^= byte;
-    h *= 0x100000001b3ull;
-  };
-  for (const char c : text) mix(static_cast<unsigned char>(c));
-  for (int byte = 0; byte < 8; ++byte)
-    mix(static_cast<unsigned char>((tail >> (byte * 8)) & 0xffu));
-  return h;
-}
-
-}  // namespace
 
 ReplAck replAckFromString(const std::string& name) {
   if (name == "quorum") return ReplAck::kQuorum;
@@ -51,7 +37,8 @@ std::chrono::milliseconds backoffDelay(std::uint32_t attempt,
   delayMs = std::min<std::int64_t>(delayMs, kReconnectBackoffCap.count());
   const std::int64_t jitterSpan = delayMs / 4 + 1;
   const std::int64_t jitterMs = static_cast<std::int64_t>(
-      fnv64Mix(salt, attempt) % static_cast<std::uint64_t>(jitterSpan));
+      fnv1a64(std::uint64_t{attempt}, fnv1a64(salt)) %
+      static_cast<std::uint64_t>(jitterSpan));
   return std::chrono::milliseconds(delayMs + jitterMs);
 }
 

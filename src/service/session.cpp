@@ -15,6 +15,7 @@
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
 #include "util/fsio.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -26,15 +27,6 @@ namespace {
 
 constexpr const char* kWalHeader = "rfsm-session-journal v1";
 constexpr const char* kSnapshotMagic = "rfsm-session-snapshot v1";
-
-std::uint64_t fnv64(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string openPayload(const SessionConfig& config, std::uint64_t epoch = 1,
                         bool standby = false) {
@@ -500,7 +492,7 @@ void SessionService::persistLocked(Session& session) {
   writer.u32(session.standby ? 1 : 0);
   std::string body = writer.take();
   ipc::MessageWriter checksum;
-  checksum.u64(fnv64(body));
+  checksum.u64(fnv1a64(body));
   body += checksum.take();
   // Snapshot first (atomic replace), journal rotation second: a crash
   // between the two leaves a snapshot plus a journal whose early records
@@ -547,7 +539,7 @@ bool SessionService::recoverOne(const std::string& base) {
       const std::string_view body(bytes->data(), bytes->size() - 8);
       ipc::MessageReader sumReader(
           std::string_view(bytes->data() + body.size(), 8));
-      if (sumReader.u64() != fnv64(body))
+      if (sumReader.u64() != fnv1a64(body))
         throw ipc::IpcError("snapshot checksum mismatch");
       ipc::MessageReader reader(body);
       engine.emplace(SessionEngine::decodeSnapshot(reader));
@@ -1264,7 +1256,7 @@ SessionReplSnapshotResponse SessionService::replInstall(
     const std::string_view body(bytes.data(), bytes.size() - 8);
     ipc::MessageReader sumReader(
         std::string_view(bytes.data() + body.size(), 8));
-    if (sumReader.u64() != fnv64(body))
+    if (sumReader.u64() != fnv1a64(body))
       throw ipc::IpcError("snapshot checksum mismatch");
     ipc::MessageReader reader(body);
     engine.emplace(SessionEngine::decodeSnapshot(reader));

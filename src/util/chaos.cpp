@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "util/hash.hpp"
 #include "util/metrics.hpp"
 
 namespace rfsm::chaos {
@@ -391,17 +392,11 @@ std::uint64_t FaultPlane::injectedNet() const {
 
 std::uint64_t FaultPlane::journalDigest() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  };
+  std::uint64_t hash = kFnv1a64Basis;
   for (const Event& event : journal_) {
-    mix(static_cast<std::uint64_t>(event.site));
-    mix(event.kind);
-    mix(event.ordinal);
+    hash = fnv1a64(static_cast<std::uint64_t>(event.site), hash);
+    hash = fnv1a64(std::uint64_t{event.kind}, hash);
+    hash = fnv1a64(event.ordinal, hash);
   }
   return hash;
 }

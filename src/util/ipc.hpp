@@ -142,6 +142,8 @@ class MessageReader {
   std::string str();
 
   bool atEnd() const { return pos_ == payload_.size(); }
+  /// Bytes not yet consumed.
+  std::size_t remaining() const { return payload_.size() - pos_; }
   /// Throws IpcError unless the whole payload was consumed (catches
   /// encoder/decoder drift early).
   void expectEnd() const;

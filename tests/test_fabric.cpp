@@ -85,10 +85,11 @@ struct RunningServer {
 class FakeEndpoint {
  public:
   enum class Behavior {
-    kHonest,   ///< correct bytes
-    kTamper,   ///< appends junk to every program (a lying replica)
-    kSlow,     ///< answers correctly after `delay`
-    kSilent,   ///< accepts, reads, never answers
+    kHonest,       ///< correct bytes
+    kTamper,       ///< appends junk to every program (a lying replica)
+    kSlow,         ///< answers correctly after `delay`
+    kSilent,       ///< accepts, reads, never answers
+    kForgedCount,  ///< CRC-valid reply claiming 2^31 programs, sending none
   };
 
   FakeEndpoint(std::string path, Behavior behavior,
@@ -136,6 +137,13 @@ class FakeEndpoint {
     if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
     service::PlanResponse response;
     response.status = WorkResult::Status::kOk;
+    if (behavior_ == Behavior::kForgedCount) {
+      // The program count is the payload's last u32 (programs ride last).
+      std::string forged = service::encodePlanResponse(response);
+      forged.replace(forged.size() - 4, 4, std::string("\0\0\0\x80", 4));
+      ipc::writeFrame(fd, forged);
+      return;
+    }
     // kBypass: the fake plays a *remote* process — it must not share (or
     // serve back) this process's plan cache, or a poisoned local entry
     // could vouch for itself in the cache-verification tests below.
@@ -286,6 +294,34 @@ TEST(Fabric, SingleHealthyEndpointServesRungTwo) {
   EXPECT_EQ(countOccurrences(err.str(), "planner service unavailable"), 0u)
       << err.str();
   unlink(live.c_str());
+}
+
+TEST(Fabric, ForgedElementCountDegradesAsMalformedNotACrash) {
+  // A CRC-valid reply whose program count promises 2^31 entries must fail
+  // decoding with a typed error: each rung reports "malformed response" and
+  // the in-process rung serves the same bytes a healthy fabric would.
+  const service::BatchSpec spec = smallSpec();
+  FakeEndpoint forger(freshSocketPath("forged"),
+                      FakeEndpoint::Behavior::kForgedCount);
+  service::Fabric fabric(fastFabric({ipc::parseEndpoint(forger.path())}));
+  std::ostringstream err;
+  const service::ClientResult result = fabric.plan(spec, err);
+
+  ASSERT_EQ(result.status, WorkResult::Status::kOk) << result.error;
+  EXPECT_TRUE(result.degraded);
+  EXPECT_EQ(result.programs,
+            service::planRange(spec, 0, spec.instanceCount, nullptr, 1,
+                               service::PlanCacheMode::kBypass));
+  EXPECT_EQ(countOccurrences(err.str(),
+                             "planner fabric unavailable (malformed "
+                             "response); retrying via single endpoint"),
+            1u)
+      << err.str();
+  EXPECT_EQ(countOccurrences(err.str(),
+                             "planner service unavailable (malformed "
+                             "response); degrading to in-process planning"),
+            1u)
+      << err.str();
 }
 
 // --- Hedged requests ------------------------------------------------------

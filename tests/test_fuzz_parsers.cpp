@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -485,6 +486,49 @@ const std::vector<std::function<void(const std::string&)>>& allDecoders() {
           },
       };
   return decoders;
+}
+
+TEST(ProtocolParserFuzzCorpus, CoversEveryFrameTypeAndEveryDecoder) {
+  // Every tag up to kLastMessageType needs one corpus payload, and every
+  // frame with a decoder needs one entry in allDecoders(), so the next frame
+  // added cannot skip fuzzing.  Only the health and warm-up requests, which
+  // the server answers on their tag alone, have no decoder.
+  namespace svc = service;
+  const auto corpus = protocolCorpus();
+  std::vector<svc::MessageType> types;
+  for (const auto& entry : corpus) types.push_back(svc::peekType(entry.second));
+  const auto tags = static_cast<std::uint32_t>(svc::kLastMessageType);
+  EXPECT_GE(tags, 28u);
+  EXPECT_EQ(corpus.size(), tags);
+  for (std::uint32_t tag = 1; tag <= tags; ++tag)
+    EXPECT_EQ(std::count(types.begin(), types.end(),
+                         static_cast<svc::MessageType>(tag)),
+              1)
+        << "frame type " << tag << " needs exactly one corpus payload";
+  const std::string beyond{static_cast<char>(tags + 1), 0, 0, 0};
+  EXPECT_THROW((void)svc::peekType(beyond), ipc::IpcError);
+
+  const auto& decoders = allDecoders();
+  const std::vector<svc::MessageType> tagOnly = {
+      svc::MessageType::kHealthRequest, svc::MessageType::kWarmupRequest};
+  EXPECT_EQ(decoders.size(), tags - tagOnly.size());
+  std::vector<int> accepts(decoders.size(), 0);
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    int acceptedBy = 0;
+    for (std::size_t which = 0; which < decoders.size(); ++which) {
+      try {
+        decoders[which](corpus[k].second);
+        ++acceptedBy;
+        ++accepts[which];
+      } catch (const ipc::IpcError&) {
+      }
+    }
+    const bool decodable =
+        std::find(tagOnly.begin(), tagOnly.end(), types[k]) == tagOnly.end();
+    EXPECT_EQ(acceptedBy, decodable ? 1 : 0) << corpus[k].first;
+  }
+  for (std::size_t which = 0; which < decoders.size(); ++which)
+    EXPECT_EQ(accepts[which], 1) << "decoder " << which;
 }
 
 class ProtocolParserFuzzTest : public ::testing::TestWithParam<int> {};

@@ -511,6 +511,426 @@ TEST(Protocol, WrongMessageTypeIsRejected) {
   EXPECT_THROW(service::peekType(""), ipc::IpcError);
 }
 
+/// One payload per frame type, in tag order, with a non-default value in
+/// every field (nested stats rows and all five metrics sample kinds too).
+std::vector<std::string> goldenPayloads() {
+  namespace svc = service;
+  const auto context = [] {
+    trace::TraceContext c;
+    c.traceIdHi = 0x0102030405060708u;
+    c.traceIdLo = 0x1112131415161718u;
+    c.spanId = 0x2122232425262728u;
+    c.sampled = true;
+    return c;
+  };
+  const auto spec = [] {
+    svc::BatchSpec s;
+    s.stateCount = 12;
+    s.inputCount = 3;
+    s.outputCount = 5;
+    s.deltaCount = 9;
+    s.newStateCount = 2;
+    s.instanceCount = 33;
+    s.seed = 0x1234567890abcdefu;
+    s.planner = "ea";
+    s.eaPopulation = 48;
+    s.eaGenerations = 96;
+    return s;
+  };
+  std::vector<std::string> payloads;
+
+  svc::PlanRequest plan;
+  plan.spec = spec();
+  plan.deadlineMs = 1500;
+  plan.requestId = 0xfeed;
+  plan.lo = 11;
+  plan.hi = 22;
+  plan.context = context();
+  payloads.push_back(svc::encodePlanRequest(plan));
+
+  svc::PlanResponse planReply;
+  planReply.status = WorkResult::Status::kDeadlineExceeded;
+  planReply.error = "late";
+  planReply.programs = {"p1", "p22"};
+  planReply.retries = 3;
+  planReply.crashes = 1;
+  planReply.cacheHits = 4;
+  payloads.push_back(svc::encodePlanResponse(planReply));
+
+  payloads.push_back(svc::encodeHealthRequest());
+
+  svc::HealthResponse health;
+  health.healthy = true;
+  health.workersAlive = 3;
+  health.workersConfigured = 4;
+  health.queueDepth = 5;
+  health.crashes = 6;
+  health.retries = 7;
+  health.shed = 8;
+  payloads.push_back(svc::encodeHealthResponse(health));
+
+  svc::ShardRequest shard;
+  shard.spec = spec();
+  shard.spec.planner = "greedy";
+  shard.lo = 8;
+  shard.hi = 12;
+  shard.deadlineNs = -123456789;
+  shard.context = context();
+  payloads.push_back(svc::encodeShardRequest(shard));
+
+  svc::ShardResponse shardReply;
+  shardReply.status = WorkResult::Status::kUnavailable;
+  shardReply.error = "gone";
+  shardReply.programs = {"a", "bc"};
+  payloads.push_back(svc::encodeShardResponse(shardReply));
+
+  payloads.push_back(svc::encodeWarmupRequest());
+  payloads.push_back(svc::encodeWarmupResponse());
+
+  svc::SessionOpenRequest open;
+  open.tenant = "acme";
+  open.name = "l7";
+  open.priority = 2;
+  open.weight = 3;
+  open.planner = "greedy";
+  open.stateCount = 10;
+  open.inputCount = 4;
+  open.outputCount = 3;
+  open.seed = 77;
+  open.resume = false;
+  payloads.push_back(svc::encodeSessionOpenRequest(open));
+
+  svc::SessionOpenResponse openReply;
+  openReply.status = svc::SessionStatus::kResourceExhausted;
+  openReply.error = "busy";
+  openReply.lastApplied = 9;
+  openReply.retryAfterMs = 125;
+  payloads.push_back(svc::encodeSessionOpenResponse(openReply));
+
+  svc::SessionMutateRequest mutate;
+  mutate.tenant = "acme";
+  mutate.name = "l7";
+  mutate.seq = 10;
+  mutate.deltaCount = 6;
+  mutate.newStateCount = 1;
+  mutate.mutationSeed = 0xabcd;
+  mutate.defer = true;
+  mutate.ackSeq = 7;
+  mutate.context = context();
+  payloads.push_back(svc::encodeSessionMutateRequest(mutate));
+
+  svc::SessionMutateResponse mutateReply;
+  mutateReply.status = svc::SessionStatus::kAccepted;
+  mutateReply.error = "e";
+  mutateReply.seq = 10;
+  mutateReply.program = "prog";
+  mutateReply.compactedFrom = 3;
+  mutateReply.deltasPlanned = 5;
+  mutateReply.deltasRaw = 8;
+  mutateReply.retryAfterMs = 40;
+  payloads.push_back(svc::encodeSessionMutateResponse(mutateReply));
+
+  svc::SessionReplayRequest replay;
+  replay.tenant = "acme";
+  replay.name = "l7";
+  replay.fromSeq = 3;
+  replay.toSeq = 10;
+  payloads.push_back(svc::encodeSessionReplayRequest(replay));
+
+  svc::SessionReplayResponse replayReply;
+  replayReply.status = svc::SessionStatus::kBadSequence;
+  replayReply.error = "gap";
+  replayReply.entries.push_back({3, "p3"});
+  replayReply.entries.push_back({4, "p4"});
+  payloads.push_back(svc::encodeSessionReplayResponse(replayReply));
+
+  svc::SessionCloseRequest close;
+  close.tenant = "acme";
+  close.name = "l7";
+  payloads.push_back(svc::encodeSessionCloseRequest(close));
+
+  svc::SessionCloseResponse closeReply;
+  closeReply.status = svc::SessionStatus::kDraining;
+  closeReply.error = "bye";
+  closeReply.mutationsApplied = 11;
+  closeReply.plans = 6;
+  payloads.push_back(svc::encodeSessionCloseResponse(closeReply));
+
+  payloads.push_back(svc::encodeStatsRequest());
+
+  svc::StatsResponse stats;
+  stats.pid = 4242;
+  stats.uptimeMs = 9000;
+  stats.draining = true;
+  stats.workers = health;
+  stats.planCache.enabled = true;
+  stats.planCache.size = 12;
+  stats.planCache.capacity = 256;
+  stats.breakers.push_back({"planner", "OPEN", 3});
+  svc::StatsResponse::SessionStats row;
+  row.tenant = "acme";
+  row.name = "l7";
+  row.priority = 0;
+  row.weight = 2.5;
+  row.vtime = 1.25;
+  row.tokensRemaining = 7.5;
+  row.queued = 2;
+  row.applied = 9;
+  row.walAgeMs = 15;
+  row.snapshotAgeMs = 300;
+  row.role = "standby";
+  row.epoch = 4;
+  stats.sessions.push_back(row);
+  stats.openSessions = 1;
+  stats.schedulerDepth = 2;
+  stats.schedulerVirtualNow = 3.75;
+  stats.metrics.counters.push_back({"c", 5});
+  stats.metrics.gauges.push_back({"g", -42});
+  stats.metrics.timers.push_back({"t", 3, 1.5});
+  stats.metrics.histograms.push_back({"h", 4, 0.5, 0.9, 0.99, 2.0});
+  stats.metrics.rolling.push_back({"r", 6, 0.25, 0.75, 1.0, 4.0, 60000});
+  payloads.push_back(svc::encodeStatsResponse(stats));
+
+  svc::TraceDumpRequest traceDump;
+  traceDump.clientSteadyNs = 777;
+  payloads.push_back(svc::encodeTraceDumpRequest(traceDump));
+
+  svc::TraceDumpResponse traceReply;
+  traceReply.serverSteadyNs = 888;
+  traceReply.clientSteadyNs = 777;
+  traceReply.traceJson = "{}";
+  payloads.push_back(svc::encodeTraceDumpResponse(traceReply));
+
+  svc::HandshakeRequest handshake;
+  handshake.version = 7;
+  handshake.features = 5;
+  payloads.push_back(svc::encodeHandshakeRequest(handshake));
+
+  svc::HandshakeResponse handshakeReply;
+  handshakeReply.accepted = true;
+  handshakeReply.version = 3;
+  handshakeReply.features = 1;
+  handshakeReply.error = "no";
+  payloads.push_back(svc::encodeHandshakeResponse(handshakeReply));
+
+  svc::SessionReplAppendRequest append;
+  append.tenant = "acme";
+  append.name = "l7";
+  append.priority = 2;
+  append.weight = 3;
+  append.planner = "ea";
+  append.stateCount = 10;
+  append.inputCount = 4;
+  append.outputCount = 3;
+  append.seed = 77;
+  append.epoch = 4;
+  append.seq = 11;
+  append.deltaCount = 6;
+  append.newStateCount = 1;
+  append.mutationSeed = 0xabcd;
+  append.defer = true;
+  payloads.push_back(svc::encodeSessionReplAppendRequest(append));
+
+  svc::SessionReplAppendResponse appendReply;
+  appendReply.status = svc::SessionStatus::kStaleEpoch;
+  appendReply.error = "stale";
+  appendReply.epoch = 5;
+  appendReply.lastAccepted = 10;
+  payloads.push_back(svc::encodeSessionReplAppendResponse(appendReply));
+
+  svc::SessionReplSnapshotRequest snapshot;
+  snapshot.tenant = "acme";
+  snapshot.name = "l7";
+  snapshot.epoch = 4;
+  snapshot.snapshot = std::string("snap\x00\x7f", 6);
+  payloads.push_back(svc::encodeSessionReplSnapshotRequest(snapshot));
+
+  svc::SessionReplSnapshotResponse snapshotReply;
+  snapshotReply.status = svc::SessionStatus::kOk;
+  snapshotReply.error = "x";
+  snapshotReply.epoch = 4;
+  snapshotReply.lastAccepted = 8;
+  payloads.push_back(svc::encodeSessionReplSnapshotResponse(snapshotReply));
+
+  svc::SessionStatusRequest status;
+  status.tenant = "acme";
+  status.name = "l7";
+  payloads.push_back(svc::encodeSessionStatusRequest(status));
+
+  svc::SessionStatusResponse statusReply;
+  statusReply.status = svc::SessionStatus::kOk;
+  statusReply.error = "e2";
+  statusReply.role = "standby";
+  statusReply.epoch = 4;
+  statusReply.lastAccepted = 11;
+  statusReply.applied = 10;
+  payloads.push_back(svc::encodeSessionStatusResponse(statusReply));
+  return payloads;
+}
+
+std::string toHex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char byte : bytes) {
+    hex += digits[byte >> 4];
+    hex += digits[byte & 0xf];
+  }
+  return hex;
+}
+
+TEST(Protocol, GoldenBytesPinTheWireLayout) {
+  // Captured from the hand-written codec of protocol generation 2.  Any
+  // difference is a wire-layout change: it needs a kProtocolVersion bump
+  // and a regenerated table, never a quiet edit of one side.
+  const std::vector<std::string> golden = {
+      // 1: PlanRequest
+      "010000000c000000030000000500000009000000020000002100000000000000"
+      "efcdab90785634120200000065613000000060000000dc05000000000000edfe"
+      "0000000000000b00000000000000160000000000000008070605040302011817"
+      "161514131211282726252423222101000000",
+      // 2: PlanResponse
+      "0200000002000000040000006c61746503000000000000000100000000000000"
+      "04000000000000000200000002000000703103000000703232",
+      // 3: HealthRequest
+      "03000000",
+      // 4: HealthResponse
+      "0400000001000000030000000400000005000000000000000600000000000000"
+      "07000000000000000800000000000000",
+      // 5: ShardRequest
+      "050000000c000000030000000500000009000000020000002100000000000000"
+      "efcdab9078563412060000006772656564793000000060000000080000000000"
+      "00000c00000000000000eb32a4f8ffffffff0807060504030201181716151413"
+      "1211282726252423222101000000",
+      // 6: ShardResponse
+      "060000000400000004000000676f6e65020000000100000061020000006263",
+      // 7: WarmupRequest
+      "07000000",
+      // 8: WarmupResponse
+      "08000000",
+      // 9: SessionOpenRequest
+      "090000000400000061636d65020000006c370200000003000000060000006772"
+      "656564790a00000004000000030000004d0000000000000000000000",
+      // 10: SessionOpenResponse
+      "0a00000002000000040000006275737909000000000000007d00000000000000",
+      // 11: SessionMutateRequest
+      "0b0000000400000061636d65020000006c370a00000000000000060000000100"
+      "0000cdab00000000000001000000070000000000000008070605040302011817"
+      "161514131211282726252423222101000000",
+      // 12: SessionMutateResponse
+      "0c0000000100000001000000650a000000000000000400000070726f67030000"
+      "000000000005000000080000002800000000000000",
+      // 13: SessionReplayRequest
+      "0d0000000400000061636d65020000006c3703000000000000000a0000000000"
+      "0000",
+      // 14: SessionReplayResponse
+      "0e00000005000000030000006761700200000003000000000000000200000070"
+      "330400000000000000020000007034",
+      // 15: SessionCloseRequest
+      "0f0000000400000061636d65020000006c37",
+      // 16: SessionCloseResponse
+      "1000000003000000030000006279650b000000000000000600000000000000",
+      // 17: StatsRequest
+      "11000000",
+      // 18: StatsResponse
+      "1200000092100000000000002823000000000000010000000100000003000000"
+      "0400000005000000000000000600000000000000070000000000000008000000"
+      "00000000010000000c0000000000000000010000000000000100000007000000"
+      "706c616e6e6572040000004f50454e0300000000000000010000000400000061"
+      "636d65020000006c37000000000000000000000440000000000000f43f000000"
+      "0000001e40020000000000000009000000000000000f000000000000002c0100"
+      "0000000000070000007374616e64627904000000000000000100000000000000"
+      "02000000000000000000000000000e4001000000010000006305000000000000"
+      "00010000000100000067d6ffffffffffffff0100000001000000740300000000"
+      "000000000000000000f83f010000000100000068040000000000000000000000"
+      "0000e03fcdccccccccccec3fae47e17a14aeef3f000000000000004001000000"
+      "01000000720600000000000000000000000000d03f000000000000e83f000000"
+      "000000f03f000000000000104060ea000000000000",
+      // 19: TraceDumpRequest
+      "130000000903000000000000",
+      // 20: TraceDumpResponse
+      "1400000078030000000000000903000000000000020000007b7d",
+      // 21: HandshakeRequest
+      "150000000700000005000000",
+      // 22: HandshakeResponse
+      "16000000010000000300000001000000020000006e6f",
+      // 23: SessionReplAppendRequest
+      "170000000400000061636d65020000006c370200000003000000020000006561"
+      "0a00000004000000030000004d0000000000000004000000000000000b000000"
+      "000000000600000001000000cdab00000000000001000000",
+      // 24: SessionReplAppendResponse
+      "1800000007000000050000007374616c6505000000000000000a000000000000"
+      "00",
+      // 25: SessionReplSnapshotRequest
+      "190000000400000061636d65020000006c37040000000000000006000000736e"
+      "6170007f",
+      // 26: SessionReplSnapshotResponse
+      "1a00000000000000010000007804000000000000000800000000000000",
+      // 27: SessionStatusRequest
+      "1b0000000400000061636d65020000006c37",
+      // 28: SessionStatusResponse
+      "1c00000000000000020000006532070000007374616e64627904000000000000"
+      "000b000000000000000a00000000000000",
+  };
+  const std::vector<std::string> payloads = goldenPayloads();
+  ASSERT_EQ(payloads.size(), 28u);
+  ASSERT_EQ(golden.size(), payloads.size());
+  for (std::size_t k = 0; k < payloads.size(); ++k) {
+    const auto tag = static_cast<std::uint32_t>(k + 1);
+    EXPECT_EQ(static_cast<std::uint32_t>(service::peekType(payloads[k])), tag);
+    EXPECT_EQ(toHex(payloads[k]), golden[k]) << "frame type " << tag;
+  }
+}
+
+/// `payload` with the little-endian u32 at `offset` replaced by `count`.
+std::string forgeCount(std::string payload, std::size_t offset,
+                       std::uint32_t count) {
+  for (std::size_t k = 0; k < 4; ++k)
+    payload[offset + k] = static_cast<char>(count >> (8 * k));
+  return payload;
+}
+
+TEST(Protocol, ForgedElementCountsAreTypedErrorsNotAllocations) {
+  // Every wire value is at least 4 bytes, so a count the rest of the payload
+  // cannot hold is rejected as IpcError before anything is allocated — a
+  // std::bad_alloc would escape every caller's catch of rfsm::Error.
+  constexpr std::uint32_t kForged = 1u << 31;
+  const auto last = [](const std::string& payload) {
+    return payload.size() - 4;
+  };
+  const std::string plan = service::encodePlanResponse({});
+  EXPECT_THROW(
+      service::decodePlanResponse(forgeCount(plan, last(plan), kForged)),
+      ipc::IpcError);
+  const std::string shard = service::encodeShardResponse({});
+  EXPECT_THROW(
+      service::decodeShardResponse(forgeCount(shard, last(shard), kForged)),
+      ipc::IpcError);
+  const std::string replay = service::encodeSessionReplayResponse({});
+  EXPECT_THROW(service::decodeSessionReplayResponse(
+                   forgeCount(replay, last(replay), kForged)),
+               ipc::IpcError);
+  // Stats: the breaker count follows the tag, pid, uptime, draining flag,
+  // health row and plan-cache row; the rolling-window count ends the frame.
+  const std::string stats = service::encodeStatsResponse({});
+  constexpr std::size_t kBreakerCountOffset = 4 + 8 + 8 + 4 + 44 + 20;
+  EXPECT_THROW(service::decodeStatsResponse(
+                   forgeCount(stats, kBreakerCountOffset, kForged)),
+               ipc::IpcError);
+  EXPECT_THROW(
+      service::decodeStatsResponse(forgeCount(stats, last(stats), kForged)),
+      ipc::IpcError);
+
+  // The bound is exact: empty programs are 4 bytes each, so a count that
+  // fills the payload decodes and one more does not.
+  service::PlanResponse empties;
+  empties.programs = {"", "", ""};
+  const std::string full = service::encodePlanResponse(empties);
+  EXPECT_EQ(service::decodePlanResponse(full).programs, empties.programs);
+  EXPECT_THROW(
+      service::decodePlanResponse(forgeCount(full, full.size() - 16, 4)),
+      ipc::IpcError);
+}
+
 TEST(Protocol, StatusNamesMatchContract) {
   EXPECT_STREQ(toString(WorkResult::Status::kOk), "OK");
   EXPECT_STREQ(toString(WorkResult::Status::kDeadlineExceeded),

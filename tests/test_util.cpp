@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -174,6 +175,21 @@ TEST(Rng, SubstreamIndependentOfCallOrder) {
   (void)base.substream(2);
   Rng late = base.substream(5);
   for (int k = 0; k < 32; ++k) EXPECT_EQ(early(), late());
+}
+
+TEST(Hash, Fnv1a64MatchesTheStandardVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(Hash, Fnv1a64ChainsPiecesAsOneStream) {
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+  // A u64 hashes as its 8 little-endian bytes: "12345678".
+  EXPECT_EQ(fnv1a64(std::uint64_t{0x3837363534333231}, kFnv1a64Basis),
+            fnv1a64("12345678"));
+  EXPECT_EQ(fnv1a64(std::uint64_t{0x3837363534333231}, fnv1a64("ab")),
+            fnv1a64("ab12345678"));
 }
 
 TEST(Metrics, CounterAccumulatesAndResets) {
