@@ -49,7 +49,8 @@ namespace rfsm::service {
 /// change, so stale entries from an older build cannot alias new requests.
 inline constexpr std::uint64_t kPlanCacheKeyVersion = 1;
 
-/// Capacity used when enabling via RFSM_PLAN_CACHE without a value.
+/// Capacity used when RFSM_PLAN_CACHE is set to something other than a
+/// number.
 inline constexpr std::size_t kPlanCacheDefaultCapacity = 4096;
 
 /// (Re)bounds the process-wide plan cache to `capacity` entries; 0 disables
@@ -58,9 +59,9 @@ inline constexpr std::size_t kPlanCacheDefaultCapacity = 4096;
 void configurePlanCache(std::size_t capacity);
 
 /// Applies RFSM_PLAN_CACHE: unset/"0" leaves the cache off, a positive
-/// integer is the capacity, any other non-empty value (e.g. "1" from
-/// `RFSM_PLAN_CACHE=1`, or junk) enables the default capacity.  Called by
-/// tool mains only, never by the library.
+/// integer is the capacity (so `RFSM_PLAN_CACHE=1` means one entry, not
+/// "on"), any other non-empty value (e.g. "on", or junk) enables the
+/// default capacity.  Called by tool mains only, never by the library.
 void configurePlanCacheFromEnv();
 
 bool planCacheEnabled();

@@ -9,66 +9,11 @@
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
 #include "service/plan_cache.hpp"
-#include "util/cache.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rfsm::service {
-namespace {
-
-// --- Instance cache ------------------------------------------------------
-//
-// makeInstance is deterministic in (spec, index), so its results are
-// cacheable forever.  A long-lived worker serving retried, hedged, or
-// quorum-duplicated shards of the same batch regenerates nothing; SLRU +
-// ghost admission (util/cache.hpp) at kInstanceCacheCapacity bounds the
-// footprint without letting one-shot sweeps flush the hot working set.
-
-SlruCache<MigrationContext>& instanceCache() {
-  static auto* cache =  // immortal
-      new SlruCache<MigrationContext>(kInstanceCacheCapacity);
-  return *cache;
-}
-
-std::string instanceKey(const BatchSpec& spec, std::uint64_t index) {
-  // instanceCount is deliberately absent: instance k's bytes depend only on
-  // the generation dimensions and seed, so shards of differently-sized
-  // sweeps over the same spec share entries.  The planner and EA fields are
-  // equally absent — and must stay so — because generation draws only from
-  // the gen substream; the regression test InstanceCacheKeySeparation pins
-  // every field that *does* matter.
-  return std::to_string(spec.stateCount) + "," +
-         std::to_string(spec.inputCount) + "," +
-         std::to_string(spec.outputCount) + "," +
-         std::to_string(spec.deltaCount) + "," +
-         std::to_string(spec.newStateCount) + "," +
-         std::to_string(spec.seed) + "#" + std::to_string(index);
-}
-
-MigrationContext cachedInstance(const BatchSpec& spec, std::uint64_t index) {
-  static metrics::Counter& hits =
-      metrics::counter(metrics::kServiceWorkerCacheHits);
-  static metrics::Counter& misses =
-      metrics::counter(metrics::kServiceWorkerCacheMisses);
-  SlruCache<MigrationContext>& cache = instanceCache();
-  const std::string key = instanceKey(spec, index);
-  if (auto hit = cache.get(key)) {
-    hits.add();
-    return *std::move(hit);
-  }
-  misses.add();
-  // Generate outside the cache lock (the expensive part); a racing twin
-  // doing the same work inserts an identical value, so last-writer-wins is
-  // harmless.
-  MigrationContext instance = makeInstance(spec, index);
-  cache.put(key, instance);
-  return instance;
-}
-
-}  // namespace
-
-void clearInstanceCache() { instanceCache().clear(); }
 
 MigrationContext makeInstance(const BatchSpec& spec, std::uint64_t index) {
   Rng gen = Rng(spec.seed).substream(kGenStreamBase + index);
@@ -129,7 +74,7 @@ std::vector<std::string> planRangeUncached(const BatchSpec& spec,
   instances.reserve(static_cast<std::size_t>(hi - lo));
   for (std::uint64_t k = lo; k < hi; ++k) {
     pollCancel(cancel, "service.generate");
-    instances.push_back(cachedInstance(spec, k));
+    instances.push_back(makeInstance(spec, k));
   }
 
   BatchOptions options;

@@ -120,30 +120,17 @@ enum class PlanCacheMode { kUse, kBypass };
 /// shard split would produce for those slots.  `cancel` is polled between
 /// instances and inside the planners; `jobs` <= 1 is serial.
 ///
-/// Generated instances are cached process-wide, keyed by (spec, index):
-/// long-lived workers serving retried, hedged, or quorum-duplicated shards
-/// of the same batch skip the regenerate step entirely
-/// (service.worker_cache_hits counts the savings).  Cached or not, the
-/// result is byte-identical — the cache stores exactly what makeInstance
-/// would produce.
-///
-/// When the plan-result cache is enabled (plan_cache.hpp) and `mode` is
-/// kUse, cached instances are served without replanning and fresh results
-/// are stored back — hits are byte-identical to cold computation by the
-/// regeneration contract above.
+/// Every instance is regenerated with makeInstance.  Repeats are served by
+/// the plan-result cache instead: when it is enabled (plan_cache.hpp) and
+/// `mode` is kUse, cached instances are served without regenerating or
+/// replanning and fresh results are stored back — hits are byte-identical
+/// to cold computation by the regeneration contract: (spec, index)
+/// determines both the instance and its plan substream.
 std::vector<std::string> planRange(const BatchSpec& spec, std::uint64_t lo,
                                    std::uint64_t hi,
                                    const CancelToken* cancel = nullptr,
                                    int jobs = 1,
                                    PlanCacheMode mode = PlanCacheMode::kUse);
-
-/// Entries the instance cache holds before evicting (SLRU + ghost list,
-/// util/cache.hpp).
-inline constexpr std::size_t kInstanceCacheCapacity = 256;
-
-/// Drops every cached instance (tests; also bounds memory after a one-off
-/// giant batch).
-void clearInstanceCache();
 
 // --- Plan request / response --------------------------------------------
 

@@ -69,13 +69,11 @@ Server::Server(ServerOptions options)
       const int signal = scenario.kind == Kind::kKillWorker ? SIGKILL
                          : scenario.kind == Kind::kAbortWorker ? SIGABRT
                                                                : SIGSTOP;
-      const auto after = static_cast<std::uint64_t>(
-          std::max(0, scenario.afterShards));
-      auto fired = std::make_shared<std::atomic<bool>>(false);
       const std::string name = scenario.name;
+      // Dispatch ordinals are unique, so this fires exactly once.
       supervisor_.setDispatchHook(
-          [signal, after, fired, name](std::uint64_t ordinal, int pid) {
-            if (ordinal < after || fired->exchange(true)) return;
+          [signal, name](std::uint64_t ordinal, int pid) {
+            if (ordinal != 0) return;
             trace::instant("service.fault_injected", "service",
                            {trace::Arg::str("scenario", name),
                             trace::Arg::num("pid",

@@ -1,12 +1,12 @@
 // A bounded cache with an explicit admission/eviction policy: segmented
 // LRU (SLRU) plus a ghost list.
 //
-// Why not FIFO or plain LRU: the planner's caches see two very different
-// access patterns at once — a hot working set of repeated (spec, index)
-// keys (retried, hedged, quorum-duplicated shards of live batches) and
-// long one-shot scans (a sweep touching thousands of instances exactly
-// once).  FIFO lets the scan flush the working set; plain LRU does too.
-// SLRU keeps them apart:
+// Why not FIFO or plain LRU: the plan cache (service/plan_cache.hpp), this
+// header's one user, sees two very different access patterns at once — a
+// hot working set of repeated (spec, index) keys (requests that repeat a
+// spec) and long one-shot scans (a sweep touching thousands of instances
+// exactly once).  FIFO lets the scan flush the working set; plain LRU does
+// too.  SLRU keeps them apart:
 //
 //  * New keys enter the *probation* segment.  A key touched a second time
 //    while on probation is promoted to the *protected* segment; a
@@ -23,7 +23,7 @@
 //    that the capacity, not the access pattern, was at fault.
 //
 // Values are stored by value and returned by copy; the cache is internally
-// synchronized (one mutex — these caches sit above work that costs
+// synchronized (one mutex — the plan cache sits above work that costs
 // milliseconds, not nanoseconds).  Counting is the caller's business:
 // get() misses return nullopt, put() reports evictions/readmissions, so
 // callers feed whatever metrics registry they like without this header

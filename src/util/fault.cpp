@@ -94,7 +94,6 @@ std::optional<ServiceScenario> serviceScenarioByName(const std::string& name) {
   if (name == "none") return scenario;
   if (name == "kill-first-shard") {
     scenario.kind = ServiceScenario::Kind::kKillWorker;
-    scenario.afterShards = 0;
     return scenario;
   }
   if (name == "abort-mid-shard") {
@@ -103,7 +102,6 @@ std::optional<ServiceScenario> serviceScenarioByName(const std::string& name) {
   }
   if (name == "hang-worker") {
     scenario.kind = ServiceScenario::Kind::kHangWorker;
-    scenario.hangMs = 10000;
     return scenario;
   }
   if (name == "pool-unhealthy") {

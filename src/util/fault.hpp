@@ -113,10 +113,11 @@ const std::vector<std::string>& modelNames();
 /// Process-level fault scenarios of the planner service (what the
 /// supervisor or worker does to itself), by name:
 /// All scenarios are armed on the supervisor's dispatch hook and fire
-/// exactly once, so the retried shard lands on an unmolested worker:
+/// exactly once, on dispatch 0, so the retried shard lands on an
+/// unmolested worker:
 ///   none             no induced failure
-///   kill-first-shard SIGKILL the worker right after shard `afterShards`
-///                    (default 0 = the first) is dispatched to it
+///   kill-first-shard SIGKILL the worker right after the first shard is
+///                    dispatched to it
 ///   abort-mid-shard  SIGABRT the worker mid-shard (an assert/abort death,
 ///                    distinct from SIGKILL in the exit status)
 ///   hang-worker      SIGSTOP the worker so it goes silent mid-shard and
@@ -125,18 +126,13 @@ const std::vector<std::string>& modelNames();
 struct ServiceScenario {
   enum class Kind {
     kNone,
-    kKillWorker,   ///< SIGKILL after dispatch `afterShards`
-    kAbortWorker,  ///< SIGABRT after dispatch `afterShards`
-    kHangWorker,   ///< SIGSTOP after dispatch `afterShards`
+    kKillWorker,   ///< SIGKILL after dispatch 0
+    kAbortWorker,  ///< SIGABRT after dispatch 0
+    kHangWorker,   ///< SIGSTOP after dispatch 0
     kUnhealthy,    ///< pool forced unhealthy
   };
   std::string name = "none";
   Kind kind = Kind::kNone;
-  /// Fire after this many shard dispatches (0 = the first).
-  int afterShards = 0;
-  /// Legacy knob of hang-worker (the hang now lasts until the supervisor's
-  /// timeout kill, so this only documents intent).
-  int hangMs = 0;
 };
 
 std::optional<ServiceScenario> serviceScenarioByName(const std::string& name);

@@ -397,8 +397,6 @@ std::vector<std::string> canonicalNames() {
       kServiceShed,
       kServiceDeadlineExceeded,
       kServiceDegraded,
-      kServiceWorkerCacheHits,
-      kServiceWorkerCacheMisses,
       kServiceWorkersPreforked,
       kServicePlanCacheHits,
       kServicePlanCacheMisses,

@@ -187,10 +187,6 @@ inline constexpr const char* kServiceShed = "service.requests_shed";
 inline constexpr const char* kServiceDeadlineExceeded =
     "service.deadline_exceeded";
 inline constexpr const char* kServiceDegraded = "service.degraded";
-inline constexpr const char* kServiceWorkerCacheHits =
-    "service.worker_cache_hits";
-inline constexpr const char* kServiceWorkerCacheMisses =
-    "service.worker_cache_misses";
 inline constexpr const char* kServiceWorkersPreforked =
     "service.workers_preforked";
 

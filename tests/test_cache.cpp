@@ -1,13 +1,13 @@
 // SLRU + ghost-list cache policy, canonical content hashing, and the
 // BFS-buffer shape pool.
 //
-// The SLRU suite pins the admission/eviction policy the shared plan cache
-// and the worker instance cache both ride on — including the
-// fill-evict-reinsert sequence that a bare-FIFO bookkeeping bug would get
-// wrong (evicting more than overflow, or resurrecting an erased key from
-// the ghost list).  The hasher suite pins the structural (type-tagged,
-// length-prefixed) canonicalization the plan-cache key depends on: any
-// accidental concatenation collision here is a cache-aliasing bug there.
+// The SLRU suite pins the admission/eviction policy the plan cache rides
+// on — including the fill-evict-reinsert sequence that a bare-FIFO
+// bookkeeping bug would get wrong (evicting more than overflow, or
+// resurrecting an erased key from the ghost list).  The hasher suite pins
+// the structural (type-tagged, length-prefixed) canonicalization the
+// plan-cache key depends on: any accidental concatenation collision here
+// is a cache-aliasing bug there.
 #include <gtest/gtest.h>
 
 #include <optional>

@@ -404,7 +404,6 @@ TEST(FaultScenarios, KillFirstShardTargetsDispatchZero) {
   const auto scenario = fault::serviceScenarioByName("kill-first-shard");
   ASSERT_TRUE(scenario.has_value());
   EXPECT_EQ(scenario->kind, fault::ServiceScenario::Kind::kKillWorker);
-  EXPECT_EQ(scenario->afterShards, 0);
 }
 
 TEST(FaultModels, AllNamesResolve) {

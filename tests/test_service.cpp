@@ -94,40 +94,6 @@ TEST(Protocol, UnknownPlannerThrows) {
   EXPECT_THROW(service::plannerFn("quantum"), Error);
 }
 
-TEST(Protocol, InstanceCacheServesRepeatedGenerations) {
-  service::clearInstanceCache();
-  const service::BatchSpec spec = smallSpec();
-  metrics::Counter& hits =
-      metrics::counter(metrics::kServiceWorkerCacheHits);
-  metrics::Counter& misses =
-      metrics::counter(metrics::kServiceWorkerCacheMisses);
-  const std::uint64_t hits0 = hits.value();
-  const std::uint64_t misses0 = misses.value();
-
-  const auto first = service::planRange(spec, 0, 4);
-  EXPECT_EQ(misses.value() - misses0, 4u);  // cold cache: all generated
-  const std::uint64_t hitsAfterFirst = hits.value();
-
-  // A retried/hedged/quorum-duplicated shard of the same batch hits the
-  // cache — and the cached path is byte-identical to the cold one.
-  const auto second = service::planRange(spec, 0, 4);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(hits.value() - hitsAfterFirst, 4u);
-  EXPECT_EQ(misses.value() - misses0, 4u);
-
-  // Different seed, different cache entries: no false sharing.
-  service::BatchSpec other = spec;
-  other.seed = spec.seed + 1;
-  (void)service::planRange(other, 0, 2);
-  EXPECT_EQ(misses.value() - misses0, 6u);
-
-  service::clearInstanceCache();
-  const std::uint64_t hitsBeforeCleared = hits.value();
-  const auto third = service::planRange(spec, 0, 4);
-  EXPECT_EQ(third, first);
-  EXPECT_EQ(hits.value(), hitsBeforeCleared);  // cleared: no hits
-}
-
 // --- Supervisor with real workers ---------------------------------------
 
 TEST(SupervisorWorkers, ShardRoundTripMatchesInProcess) {
@@ -236,8 +202,8 @@ TEST(Server, KilledWorkerMidShardIsRetriedBitIdentically) {
   const service::PlanResponse response = server.handlePlan(request);
   ASSERT_EQ(response.status, WorkResult::Status::kOk) << response.error;
   // The kill cost exactly one retry and one crash — and zero bytes.
-  EXPECT_GE(response.retries, 1u);
-  EXPECT_GE(response.crashes, 1u);
+  EXPECT_EQ(response.retries, 1u);
+  EXPECT_EQ(response.crashes, 1u);
   EXPECT_EQ(response.programs,
             service::planRange(request.spec, 0, request.spec.instanceCount));
 }
@@ -538,40 +504,6 @@ TEST(PlanCache, KeySeparatesEveryPlanningField) {
             service::planCacheKey(base, 0));
 }
 
-TEST(PlanCache, InstanceKeySeparatesEveryGenerationField) {
-  // Satellite audit for the *worker instance* cache: each field that feeds
-  // makeInstance must miss the cache when changed — a hit here would hand
-  // one spec another spec's machine.
-  service::clearInstanceCache();
-  const service::BatchSpec base = smallSpec();
-  (void)service::planRange(base, 0, 1);  // prime the cache with index 0
-  metrics::Counter& hits = metrics::counter(metrics::kServiceWorkerCacheHits);
-  metrics::Counter& misses =
-      metrics::counter(metrics::kServiceWorkerCacheMisses);
-  auto expectMiss = [&](const char* field, auto&& tweak) {
-    service::BatchSpec spec = base;
-    tweak(spec);
-    const std::uint64_t hits0 = hits.value();
-    const std::uint64_t misses0 = misses.value();
-    (void)service::planRange(spec, 0, 1);
-    EXPECT_EQ(hits.value(), hits0)
-        << field << " variant aliased onto the cached instance";
-    EXPECT_EQ(misses.value() - misses0, 1u) << field;
-  };
-  expectMiss("stateCount",
-             [](service::BatchSpec& s) { s.stateCount += 1; });
-  expectMiss("inputCount",
-             [](service::BatchSpec& s) { s.inputCount += 1; });
-  expectMiss("outputCount",
-             [](service::BatchSpec& s) { s.outputCount += 1; });
-  expectMiss("deltaCount",
-             [](service::BatchSpec& s) { s.deltaCount += 1; });
-  expectMiss("newStateCount",
-             [](service::BatchSpec& s) { s.newStateCount += 1; });
-  expectMiss("seed", [](service::BatchSpec& s) { s.seed += 1; });
-  service::clearInstanceCache();
-}
-
 TEST(PlanCache, EnvironmentConfiguration) {
   // Tool mains apply RFSM_PLAN_CACHE; the library never reads it on its
   // own.  Restore the pristine (unset, disabled) state on every path.
@@ -582,6 +514,10 @@ TEST(PlanCache, EnvironmentConfiguration) {
   ASSERT_EQ(setenv("RFSM_PLAN_CACHE", "128", 1), 0);
   service::configurePlanCacheFromEnv();
   EXPECT_TRUE(service::planCacheEnabled());
+
+  ASSERT_EQ(setenv("RFSM_PLAN_CACHE", "1", 1), 0);
+  service::configurePlanCacheFromEnv();
+  EXPECT_EQ(service::planCacheCapacity(), 1u);  // a number, not a switch
 
   ASSERT_EQ(setenv("RFSM_PLAN_CACHE", "0", 1), 0);
   service::configurePlanCacheFromEnv();
