@@ -1,6 +1,7 @@
 #include "core/planners.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <numeric>
 
@@ -197,6 +198,148 @@ ReconfigurationProgram decodeOrder(const MigrationContext& context,
   return decoder.finish();
 }
 
+namespace {
+
+/// One thread's working copy of an evaluator's table, plus the undo log and
+/// the permutation-check stamps.  The table equals the owner's next_ between
+/// calls (every call undoes its writes), so it is re-copied only when the
+/// thread switches evaluators.
+struct CostScratch {
+  std::uint64_t owner = 0;  ///< evaluator id the table belongs to; 0 = none
+  std::vector<SymbolId> next;
+  std::vector<std::pair<std::size_t, SymbolId>> undo;  ///< (cell, old value)
+  std::vector<std::uint32_t> seen;  ///< == stamp: index already in the order
+  std::uint32_t stamp = 0;
+};
+
+thread_local CostScratch tCostScratch;
+
+std::atomic<std::uint64_t> gNextEvaluatorId{1};
+
+}  // namespace
+
+PaperCostEvaluator::PaperCostEvaluator(const MigrationContext& context,
+                                       const DecodeOptions& options)
+    : id_(gNextEvaluatorId.fetch_add(1, std::memory_order_relaxed)),
+      cancel_(options.cancel),
+      inputCount_(context.inputs().size()),
+      s0_(context.targetReset()) {
+  RFSM_CHECK(options.rule == DecodeRule::kPaper,
+             "the cost evaluator implements the paper's decode rule only");
+  const SymbolId i0 = options.tempInput == kNoSymbol
+                          ? context.liftTargetInput(0)
+                          : options.tempInput;
+  RFSM_CHECK(context.inTargetInputs(i0),
+             "temporary input must be an input of M'");
+  auto cell = [&](SymbolId input, SymbolId state) {
+    return static_cast<std::size_t>(state) *
+               static_cast<std::size_t>(inputCount_) +
+           static_cast<std::size_t>(input);
+  };
+  // The machine a decode starts from: M's cells, everything else
+  // unspecified (MutableMachine's initial table).
+  next_.assign(static_cast<std::size_t>(context.states().size()) *
+                   static_cast<std::size_t>(inputCount_),
+               kNoSymbol);
+  for (SymbolId s = 0; s < context.states().size(); ++s) {
+    if (!context.inSourceStates(s)) continue;
+    for (SymbolId i = 0; i < inputCount_; ++i)
+      if (context.inSourceInputs(i))
+        next_[cell(i, s)] = context.sourceNext(i, s);
+  }
+  tempCell_ = cell(i0, s0_);
+  tempTarget_ = context.targetNext(i0, s0_);
+  for (const Transition& td : context.deltaTransitions()) {
+    if (td.input == i0 && td.from == s0_)
+      tempCellIsDelta_ = true;
+    else
+      deltas_.push_back(Delta{cell(td.input, td.from), td.from, td.to});
+  }
+}
+
+int PaperCostEvaluator::cost(const std::vector<int>& order) const {
+  pollCancel(cancel_, "planner.decode");
+  RFSM_CHECK(order.size() == deltas_.size(),
+             "order must be a permutation of the loop deltas");
+  CostScratch& scratch = tCostScratch;
+  if (scratch.owner != id_) {
+    scratch.next.assign(next_.begin(), next_.end());
+    scratch.owner = id_;
+  }
+  // Permutation check without clearing: an index is taken iff its stamp is
+  // this call's.
+  if (scratch.seen.size() < order.size()) scratch.seen.resize(order.size(), 0);
+  if (++scratch.stamp == 0) {
+    std::fill(scratch.seen.begin(), scratch.seen.end(), 0);
+    scratch.stamp = 1;
+  }
+  bool permutation = true;
+  for (const int index : order) {
+    if (index < 0 || static_cast<std::size_t>(index) >= order.size() ||
+        scratch.seen[static_cast<std::size_t>(index)] == scratch.stamp) {
+      permutation = false;
+      break;
+    }
+    scratch.seen[static_cast<std::size_t>(index)] = scratch.stamp;
+  }
+  RFSM_CHECK(permutation, "order must be a permutation");
+
+  SymbolId* const next = scratch.next.data();
+  auto write = [&](std::size_t cell, SymbolId value) {
+    scratch.undo.emplace_back(cell, next[cell]);
+    next[cell] = value;
+  };
+  // An existing path of length 1: some specified cell of `from` leads to
+  // `to` (kNoSymbol never equals a state).
+  auto hasEdge = [&](SymbolId from, SymbolId to) {
+    const SymbolId* row =
+        next + static_cast<std::size_t>(from) *
+                   static_cast<std::size_t>(inputCount_);
+    for (SymbolId i = 0; i < inputCount_; ++i)
+      if (row[i] == to) return true;
+    return false;
+  };
+
+  // Decoder's step accounting, rule kPaper: a leading reset, then per delta
+  // [traverse | [reset +] temporary rewrite] + the delta rewrite, then the
+  // temporary-cell repair and a closing reset.
+  int length = 1;
+  SymbolId state = s0_;
+  bool tempDirty = false;
+  for (const int index : order) {
+    const Delta& td = deltas_[static_cast<std::size_t>(index)];
+    if (state != td.from) {
+      if (hasEdge(state, td.from)) {
+        ++length;
+      } else {
+        if (state != s0_) {
+          ++length;
+          state = s0_;
+        }
+        if (state != td.from) {
+          write(tempCell_, td.from);
+          ++length;
+          tempDirty = true;
+        }
+      }
+    }
+    write(td.cell, td.to);
+    ++length;
+    state = td.to;
+  }
+  if (tempDirty || tempCellIsDelta_) {
+    if (state != s0_) ++length;
+    ++length;
+    state = tempTarget_;
+  }
+  if (state != s0_) ++length;
+
+  for (auto it = scratch.undo.rbegin(); it != scratch.undo.rend(); ++it)
+    next[it->first] = it->second;
+  scratch.undo.clear();
+  return length;
+}
+
 ReconfigurationProgram planGreedy(const MigrationContext& context,
                                   const DecodeOptions& options) {
   metrics::ScopedTimer timing(metrics::timer("planner.greedy"));
@@ -228,11 +371,29 @@ EvolutionaryPlan planEvolutionary(const MigrationContext& context,
                                   ThreadPool* pool) {
   metrics::ScopedTimer timing(metrics::timer("planner.ea"));
   trace::ScopedSpan span("planner.ea", "planner");
-  const int n = loopDeltaCount(context, options.tempInput);
-  const FitnessFn fitness = [&](const Permutation& order) {
-    return static_cast<double>(decodeOrder(context, order, options).length());
-  };
-  const EvolutionResult evo = evolvePermutation(n, fitness, config, rng, pool);
+  EvolutionResult evo;
+  if (options.rule == DecodeRule::kPaper) {
+    static metrics::Counter& decodeCalls =
+        metrics::counter(metrics::kDecodeCalls);
+    const PaperCostEvaluator evaluator(context, options);
+    evo = evolvePermutation(
+        evaluator.deltaCount(),
+        [&evaluator](const Permutation& order) {
+          return static_cast<double>(evaluator.cost(order));
+        },
+        config, rng, pool);
+    // Each evaluation stands in for a decode: the counter keeps counting
+    // them, so telemetry stays comparable with decodeOrder-scored runs.
+    decodeCalls.add(static_cast<std::uint64_t>(evo.evaluations));
+  } else {
+    evo = evolvePermutation(
+        loopDeltaCount(context, options.tempInput),
+        [&](const Permutation& order) {
+          return static_cast<double>(
+              decodeOrder(context, order, options).length());
+        },
+        config, rng, pool);
+  }
 
   EvolutionaryPlan plan;
   plan.program = decodeOrder(context, evo.best, options);

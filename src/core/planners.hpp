@@ -18,6 +18,8 @@
 //    transitions used solely when a delta source is otherwise unreachable.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -69,6 +71,52 @@ ReconfigurationProgram decodeOrder(const MigrationContext& context,
 int loopDeltaCount(const MigrationContext& context,
                    SymbolId tempInput = kNoSymbol);
 
+/// Cost-only twin of decodeOrder under DecodeRule::kPaper — the EA's
+/// fitness.  cost(order) == decodeOrder(context, order, options).length()
+/// for every order, but it builds no MutableMachine and no program: it
+/// walks the paper's connection rule over a flat |S|·|I| next-state table
+/// (superset ids, kNoSymbol = unspecified), logs every cell it rewrites and
+/// undoes the log before returning, in O(n·|I|) per order.
+///
+/// Built once per planEvolutionary call.  cost() is thread-safe: each
+/// calling thread keeps its own scratch table, so there is no lock, and a
+/// warm thread allocates nothing per evaluation.  It keeps decodeOrder's
+/// checks: the temporary input must lie in M' (checked here, at
+/// construction), the order must be a permutation of the loop deltas, and
+/// options.cancel is polled on every call.
+class PaperCostEvaluator {
+ public:
+  /// Requires options.rule == DecodeRule::kPaper.  Copies what it needs:
+  /// no reference to `context` is kept.
+  explicit PaperCostEvaluator(const MigrationContext& context,
+                              const DecodeOptions& options = {});
+
+  /// Number of deltas an order ranges over (loopDeltaCount).
+  int deltaCount() const { return static_cast<int>(deltas_.size()); }
+
+  /// Length of the program decodeOrder would build for `order`.
+  int cost(const std::vector<int>& order) const;
+
+ private:
+  /// A loop delta as the walk needs it: the cell it rewrites and its
+  /// source and target states.
+  struct Delta {
+    std::size_t cell;
+    SymbolId from;
+    SymbolId to;
+  };
+
+  std::uint64_t id_;  ///< process-unique: tags the per-thread scratch
+  const CancelToken* cancel_;
+  SymbolId inputCount_;
+  std::vector<SymbolId> next_;  ///< M's next-state table over supersets
+  std::vector<Delta> deltas_;
+  SymbolId s0_;
+  std::size_t tempCell_;       ///< cell (i0, S0')
+  SymbolId tempTarget_;        ///< F'(i0, S0')
+  bool tempCellIsDelta_ = false;
+};
+
 /// Nearest-neighbour ordering under the decoder's connection cost.
 ReconfigurationProgram planGreedy(const MigrationContext& context,
                                   const DecodeOptions& options = {});
@@ -81,9 +129,13 @@ struct EvolutionaryPlan {
   std::vector<double> bestPerGeneration;
 };
 
-/// The paper's evolutionary heuristic (Sec. 4.6).  A non-null `pool`
-/// parallelizes the fitness evaluations; the result is bit-identical for
-/// every job count (see evolvePermutation).
+/// The paper's evolutionary heuristic (Sec. 4.6).  Under
+/// DecodeRule::kPaper the fitness is a PaperCostEvaluator and only the
+/// winning order is decoded; kBestOfThree scores every order with
+/// decodeOrder.  Either way planner.decode_calls rises by one per fitness
+/// evaluation plus one for the winner.  A non-null `pool` parallelizes the
+/// fitness evaluations; the result is bit-identical for every job count
+/// (see evolvePermutation).
 EvolutionaryPlan planEvolutionary(const MigrationContext& context,
                                   const EvolutionConfig& config, Rng& rng,
                                   const DecodeOptions& options = {},

@@ -15,13 +15,13 @@ struct Individual {
   double fitness = std::numeric_limits<double>::infinity();
 };
 
-Permutation crossover(CrossoverOp op, const Permutation& a,
-                      const Permutation& b, Rng& rng) {
+void crossover(CrossoverOp op, const Permutation& a, const Permutation& b,
+               Rng& rng, Permutation& child) {
   switch (op) {
-    case CrossoverOp::kOrder: return orderCrossover(a, b, rng);
-    case CrossoverOp::kPmx: return pmxCrossover(a, b, rng);
+    case CrossoverOp::kOrder: orderCrossover(a, b, rng, child); return;
+    case CrossoverOp::kPmx: pmxCrossover(a, b, rng, child); return;
   }
-  return a;
+  child = a;
 }
 
 void mutate(MutationOp op, Permutation& p, Rng& rng) {
@@ -69,17 +69,25 @@ EvolutionResult evolvePermutation(int genomeLength, const FitnessFn& fitness,
   // are fixed before this is called, so the rng sequence — and with it the
   // whole run — is independent of the job count.
   auto evaluateFrom = [&](std::vector<Individual>& group, std::size_t first) {
-    parallelFor(pool, group.size() - first, [&](std::size_t k) {
-      Individual& ind = group[first + k];
-      ind.fitness = fitness(ind.genome);
-    });
+    // Two pointers fit std::function's inline buffer: no allocation.
+    Individual* const members = group.data() + first;
+    parallelFor(pool, group.size() - first,
+                [members, &fitness](std::size_t k) {
+                  members[k].fitness = fitness(members[k].genome);
+                });
     result.evaluations += static_cast<int>(group.size() - first);
   };
 
+  // Two population buffers, swapped every generation: each genome keeps its
+  // capacity, so elites, crossover children and copied parents are written
+  // into existing storage and a generation allocates nothing.
   std::vector<Individual> population(
       static_cast<std::size_t>(config.populationSize));
+  std::vector<Individual> offspring(population.size());
   for (auto& ind : population)
     ind.genome = randomPermutation(genomeLength, rng);
+  for (auto& ind : offspring)
+    ind.genome.reserve(static_cast<std::size_t>(genomeLength));
   pollCancel(config.cancel, "ea.initial_population");
   evaluateFrom(population, 0);
 
@@ -101,6 +109,7 @@ EvolutionResult evolvePermutation(int genomeLength, const FitnessFn& fitness,
 
   static metrics::Histogram& generationLatency =
       metrics::histogram(metrics::kGenerationLatency);
+  const auto elites = static_cast<std::size_t>(config.eliteCount);
   int stall = 0;  // generations since the last *strict* improvement
   for (int gen = 0; gen < config.generations; ++gen) {
     pollCancel(config.cancel, "ea.generation");
@@ -108,44 +117,41 @@ EvolutionResult evolvePermutation(int genomeLength, const FitnessFn& fitness,
     trace::ScopedSpan span(
         "ea.generation", "ea",
         {trace::Arg::num("generation", static_cast<std::int64_t>(gen))});
-    std::vector<Individual> offspring;
-    offspring.reserve(population.size());
     // Elitism: carry over the best individuals unchanged, with their cached
     // fitness — they are not re-evaluated and do not count as evaluations.
-    for (int e = 0; e < config.eliteCount; ++e)
-      offspring.push_back(population[static_cast<std::size_t>(e)]);
+    for (std::size_t e = 0; e < elites; ++e) offspring[e] = population[e];
 
     // Phase 1 (serial): all stochastic choices of this generation.
-    while (offspring.size() < population.size()) {
+    for (std::size_t k = elites; k < offspring.size(); ++k) {
       const auto& parentA = population[tournament(population,
                                                   config.tournamentSize, rng)];
       const auto& parentB = population[tournament(population,
                                                   config.tournamentSize, rng)];
-      Individual child;
+      Permutation& child = offspring[k].genome;
       if (rng.chance(config.crossoverRate)) {
-        child.genome = crossover(config.crossover, parentA.genome,
-                                 parentB.genome, rng);
+        crossover(config.crossover, parentA.genome, parentB.genome, rng,
+                  child);
       } else {
-        child.genome = parentA.genome;
+        child = parentA.genome;
       }
-      if (rng.chance(config.mutationRate))
-        mutate(config.mutation, child.genome, rng);
-      offspring.push_back(std::move(child));
+      if (rng.chance(config.mutationRate)) mutate(config.mutation, child, rng);
     }
     // Phase 2 (parallel): pure fitness evaluation of the new children.
-    evaluateFrom(offspring, static_cast<std::size_t>(config.eliteCount));
+    evaluateFrom(offspring, elites);
 
-    population = std::move(offspring);
+    population.swap(offspring);
     std::sort(population.begin(), population.end(), byFitness);
 
     double sum = 0.0;
     for (const auto& ind : population) sum += ind.fitness;
-    result.history.push_back(GenerationStats{
-        population.front().fitness,
-        sum / static_cast<double>(population.size())});
-    span.addArg(trace::Arg::num("best", population.front().fitness));
-    span.addArg(trace::Arg::num(
-        "mean", sum / static_cast<double>(population.size())));
+    const double mean = sum / static_cast<double>(population.size());
+    result.history.push_back(
+        GenerationStats{population.front().fitness, mean});
+    // Rendering a double is a stream format: only pay it when recording.
+    if (span.recording()) {
+      span.addArg(trace::Arg::num("best", population.front().fitness));
+      span.addArg(trace::Arg::num("mean", mean));
+    }
 
     if (population.front().fitness < result.bestFitness) {
       result.bestFitness = population.front().fitness;

@@ -33,49 +33,75 @@ std::pair<std::size_t, std::size_t> randomSlice(std::size_t n, Rng& rng) {
   if (lo > hi) std::swap(lo, hi);
   return {lo, hi};
 }
-}  // namespace
 
-Permutation orderCrossover(const Permutation& a, const Permutation& b,
-                           Rng& rng) {
-  RFSM_CHECK(a.size() == b.size(), "parents must have equal length");
-  const std::size_t n = a.size();
-  if (n <= 1) return a;
-  auto [lo, hi] = randomSlice(n, rng);
-
-  Permutation child(n, -1);
-  std::vector<bool> used(n, false);
-  for (std::size_t k = lo; k <= hi; ++k) {
-    child[k] = a[k];
-    used[static_cast<std::size_t>(a[k])] = true;
-  }
-  // Fill the remaining slots in the cyclic order of b starting after hi.
-  std::size_t write = (hi + 1) % n;
-  for (std::size_t off = 0; off < n; ++off) {
-    const int candidate = b[(hi + 1 + off) % n];
-    if (used[static_cast<std::size_t>(candidate)]) continue;
-    child[write] = candidate;
-    used[static_cast<std::size_t>(candidate)] = true;
-    write = (write + 1) % n;
-  }
-  return child;
+/// Per-thread marks indexed by gene, all zero between calls: a crossover
+/// sets the marks it needs and clears them before it returns, so a warm
+/// thread allocates nothing per child.
+std::vector<char>& geneMarks(std::size_t n) {
+  thread_local std::vector<char> marks;
+  if (marks.size() < n) marks.resize(n, 0);
+  return marks;
 }
 
-Permutation pmxCrossover(const Permutation& a, const Permutation& b,
-                         Rng& rng) {
+void checkParents(const Permutation& a, const Permutation& b,
+                  const Permutation& child) {
   RFSM_CHECK(a.size() == b.size(), "parents must have equal length");
-  const std::size_t n = a.size();
-  if (n <= 1) return a;
-  auto [lo, hi] = randomSlice(n, rng);
+  RFSM_CHECK(&child != &a && &child != &b, "child must not alias a parent");
+}
+}  // namespace
 
-  Permutation child(n, -1);
-  std::vector<int> positionInChildOf(n, -1);
+void orderCrossover(const Permutation& a, const Permutation& b, Rng& rng,
+                    Permutation& child) {
+  checkParents(a, b, child);
+  const std::size_t n = a.size();
+  if (n <= 1) {
+    child = a;
+    return;
+  }
+  const auto [lo, hi] = randomSlice(n, rng);
+
+  child.resize(n);
+  std::vector<char>& used = geneMarks(n);
   for (std::size_t k = lo; k <= hi; ++k) {
     child[k] = a[k];
-    positionInChildOf[static_cast<std::size_t>(a[k])] = static_cast<int>(k);
+    used[static_cast<std::size_t>(a[k])] = 1;
+  }
+  // Fill the remaining slots, from hi + 1 round to lo - 1, in the cyclic
+  // order of b starting after hi: b[hi + 1 ..] first, then b[.. hi].
+  std::size_t write = hi + 1 == n ? 0 : hi + 1;
+  auto fill = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      const int gene = b[k];
+      if (used[static_cast<std::size_t>(gene)] != 0) continue;
+      child[write] = gene;
+      if (++write == n) write = 0;
+    }
+  };
+  fill(hi + 1, n);
+  fill(0, hi + 1);
+  for (std::size_t k = lo; k <= hi; ++k)
+    used[static_cast<std::size_t>(a[k])] = 0;
+}
+
+void pmxCrossover(const Permutation& a, const Permutation& b, Rng& rng,
+                  Permutation& child) {
+  checkParents(a, b, child);
+  const std::size_t n = a.size();
+  if (n <= 1) {
+    child = a;
+    return;
+  }
+  const auto [lo, hi] = randomSlice(n, rng);
+
+  child.assign(n, -1);
+  std::vector<char>& placed = geneMarks(n);
+  for (std::size_t k = lo; k <= hi; ++k) {
+    child[k] = a[k];
+    placed[static_cast<std::size_t>(a[k])] = 1;
   }
   for (std::size_t k = lo; k <= hi; ++k) {
-    int value = b[k];
-    if (positionInChildOf[static_cast<std::size_t>(value)] != -1) continue;
+    const int value = b[k];
+    if (placed[static_cast<std::size_t>(value)] != 0) continue;
     // Follow the PMX mapping chain until a free slot is found.
     std::size_t slot = k;
     while (child[slot] != -1) {
@@ -85,13 +111,16 @@ Permutation pmxCrossover(const Permutation& a, const Permutation& b,
           std::find(b.begin(), b.end(), displaced) - b.begin());
     }
     child[slot] = value;
-    positionInChildOf[static_cast<std::size_t>(value)] =
-        static_cast<int>(slot);
+    placed[static_cast<std::size_t>(value)] = 1;
   }
   for (std::size_t k = 0; k < n; ++k) {
     if (child[k] == -1) child[k] = b[k];
   }
-  return child;
+  // Every mark set above is a gene of a[lo..hi] or b[lo..hi].
+  for (std::size_t k = lo; k <= hi; ++k) {
+    placed[static_cast<std::size_t>(a[k])] = 0;
+    placed[static_cast<std::size_t>(b[k])] = 0;
+  }
 }
 
 void swapMutation(Permutation& p, Rng& rng) {

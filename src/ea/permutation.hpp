@@ -23,13 +23,17 @@ bool isPermutation(const Permutation& p);
 /// Uniformly random permutation of 0..n-1.
 Permutation randomPermutation(int n, Rng& rng);
 
-/// Order crossover (OX): copies a random slice of `a`, fills the rest in the
-/// cyclic order of `b`.
-Permutation orderCrossover(const Permutation& a, const Permutation& b,
-                           Rng& rng);
+/// Order crossover (OX) into `child`: copies a random slice of `a`, fills
+/// the rest in the cyclic order of `b`.  `child` is overwritten (its
+/// capacity is reused, so a warm buffer costs no allocation) and must not
+/// be one of the parents.
+void orderCrossover(const Permutation& a, const Permutation& b, Rng& rng,
+                    Permutation& child);
 
-/// Partially matched crossover (PMX).
-Permutation pmxCrossover(const Permutation& a, const Permutation& b, Rng& rng);
+/// Partially matched crossover (PMX) into `child`; same buffer contract as
+/// orderCrossover.
+void pmxCrossover(const Permutation& a, const Permutation& b, Rng& rng,
+                  Permutation& child);
 
 /// Swaps two random positions.
 void swapMutation(Permutation& p, Rng& rng);

@@ -50,11 +50,12 @@ BatchPlanFn plannerFn(const std::string& name) {
   throw Error("unknown batch planner '" + name + "' (jsr|greedy|ea)");
 }
 
-BatchPlanFn plannerFn(const BatchSpec& spec) {
+BatchPlanFn plannerFn(const BatchSpec& spec, const CancelToken* cancel) {
   if (spec.planner == "ea") {
     EvolutionConfig config;
     config.populationSize = spec.eaPopulation;
     config.generations = spec.eaGenerations;
+    config.cancel = cancel;
     return [config](const MigrationContext& context, Rng& rng) {
       return planEvolutionary(context, config, rng).program;
     };
@@ -83,7 +84,7 @@ std::vector<std::string> planRangeUncached(const BatchSpec& spec,
   options.substreamBase = lo;  // the bit-identical-shard contract
   options.cancel = cancel;
   const std::vector<ReconfigurationProgram> programs =
-      planAll(instances, plannerFn(spec), options);
+      planAll(instances, plannerFn(spec, cancel), options);
 
   std::vector<std::string> texts;
   texts.reserve(programs.size());

@@ -106,8 +106,11 @@ MigrationContext makeInstance(const BatchSpec& spec, std::uint64_t index);
 BatchPlanFn plannerFn(const std::string& name);
 
 /// As above, but honours the spec's planner-config fields (EA population /
-/// generations) instead of the compiled-in defaults.
-BatchPlanFn plannerFn(const BatchSpec& spec);
+/// generations) instead of the compiled-in defaults.  A non-null `cancel`
+/// is polled by the EA every generation, so a deadline also stops an
+/// instance already being planned, not only the ones after it.
+BatchPlanFn plannerFn(const BatchSpec& spec,
+                      const CancelToken* cancel = nullptr);
 
 /// Whether planRange may consult the process-wide plan-result cache
 /// (service/plan_cache.hpp).  kBypass forces ground-truth recomputation —

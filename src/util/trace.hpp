@@ -184,6 +184,10 @@ class ScopedSpan {
   /// Attaches an argument discovered mid-span (e.g. a result count).
   void addArg(const Arg& arg);
 
+  /// False for an inert span (tracing was off at construction): callers
+  /// whose arguments are costly to format check this before building them.
+  bool recording() const { return name_ != nullptr; }
+
   /// This span's id in the distributed trace (0 when the span is inert or
   /// no context is adopted).
   std::uint64_t spanId() const { return spanId_; }

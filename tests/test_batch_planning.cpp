@@ -3,6 +3,7 @@
 // against an uncached reference, and the telemetry counters it feeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <queue>
@@ -12,8 +13,11 @@
 #include "core/jsr.hpp"
 #include "core/mutable_machine.hpp"
 #include "core/planners.hpp"
+#include "core/program.hpp"
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
+#include "service/protocol.hpp"
+#include "util/hash.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -191,7 +195,7 @@ TEST(PlanAllChecked, CancelledBatchMarksUnstartedInstancesCancelled) {
 TEST(PlanEvolutionaryBatch, CancellationUnwindsCooperatively) {
   const auto instances = makeInstances(3);
   EvolutionConfig config;
-  config.generations = 500;  // would take a while uncancelled
+  config.generations = 100000;  // seconds uncancelled, far past 30 ms
   CancelToken cancel;
   cancel.setDeadline(CancelToken::Clock::now() +
                      std::chrono::milliseconds(30));
@@ -237,6 +241,105 @@ TEST(PlanEvolutionary, PooledFitnessMatchesSerial) {
   EXPECT_EQ(serial.program.steps, pooled.program.steps);
   EXPECT_EQ(serial.evaluations, pooled.evaluations);
   EXPECT_EQ(serial.bestPerGeneration, pooled.bestPerGeneration);
+}
+
+/// One row of the EA regression grid: an instance shape plus the EA and
+/// decoder settings it is planned with.
+struct EaGridRow {
+  service::BatchSpec spec;
+  EvolutionConfig config;
+  int tempInput = -1;  ///< target input index for i0; -1 = the default
+};
+
+/// The fixed seeded grid behind the EA byte pin: every plan_ea benchmark
+/// shape (|S| x |I| x |Td| = {16,32,64} x {2,4} x {10,16,21,27,32,38}, the
+/// default 64x120 EA), plus rows for new states, |I| = 3, an explicit
+/// temporary input, the other operators and |Td| <= 2.
+std::vector<EaGridRow> eaGrid() {
+  std::vector<EaGridRow> grid;
+  std::uint64_t seed = 4000;
+  auto add = [&](int states, int inputs, int deltas, int newStates) {
+    EaGridRow row;
+    row.spec.stateCount = states;
+    row.spec.inputCount = inputs;
+    row.spec.outputCount = 2;
+    row.spec.deltaCount = deltas;
+    row.spec.newStateCount = newStates;
+    row.spec.seed = ++seed;
+    grid.push_back(row);
+    return &grid.back();
+  };
+  for (const int states : {16, 32, 64})
+    for (const int inputs : {2, 4})
+      for (const int deltas : {10, 16, 21, 27, 32, 38})
+        add(states, inputs, std::min(deltas, states * inputs), 0);
+  add(12, 2, 10, 2);
+  add(10, 3, 14, 3);
+  add(9, 3, 12, 0)->tempInput = 2;
+  add(14, 2, 12, 0)->config.crossover = CrossoverOp::kPmx;
+  add(14, 2, 12, 0)->config.mutation = MutationOp::kInsert;
+  EaGridRow* pmx = add(11, 4, 15, 1);
+  pmx->config.crossover = CrossoverOp::kPmx;
+  pmx->config.mutation = MutationOp::kInversion;
+  for (const int deltas : {0, 1, 2}) add(6, 2, deltas, 0);
+  return grid;
+}
+
+/// FNV-1a over the grid's program texts (and each run's evaluation count
+/// and per-generation best), planned serially or on `pool`.
+std::uint64_t eaGridDigest(ThreadPool* pool) {
+  std::uint64_t digest = kFnv1a64Basis;
+  for (const EaGridRow& row : eaGrid()) {
+    const MigrationContext context = service::makeInstance(row.spec, 0);
+    DecodeOptions options;
+    if (row.tempInput >= 0)
+      options.tempInput = context.liftTargetInput(row.tempInput);
+    Rng rng = Rng(row.spec.seed).substream(0);
+    const EvolutionaryPlan plan =
+        planEvolutionary(context, row.config, rng, options, pool);
+    EXPECT_TRUE(validateProgram(context, plan.program).valid);
+    digest = fnv1a64(programToText(context, plan.program), digest);
+    digest = fnv1a64(static_cast<std::uint64_t>(plan.evaluations), digest);
+    for (const double best : plan.bestPerGeneration)
+      digest = fnv1a64(static_cast<std::uint64_t>(best), digest);
+  }
+  return digest;
+}
+
+// Regression pin of the EA's output, recorded with the EA scoring every
+// order by decodeOrder(...).length(): the cost-only fitness and the reused
+// offspring buffers must reproduce its programs, evaluation counts and
+// search trajectory exactly.
+constexpr std::uint64_t kEaGridDigest = 0x7132638a996e6f49ull;
+
+TEST(PlanEvolutionary, GridProgramsPinnedSerially) {
+  EXPECT_EQ(eaGridDigest(nullptr), kEaGridDigest);
+}
+
+TEST(PlanEvolutionary, GridProgramsPinnedOnAFourJobPool) {
+  ThreadPool pool(4);
+  EXPECT_EQ(eaGridDigest(&pool), kEaGridDigest);
+}
+
+TEST(PlanEvolutionary, DecodeCallsCountEveryEvaluationPlusTheWinner) {
+  const MigrationContext context = makeInstance(12, 9, 77);
+  EvolutionConfig config;
+  config.generations = 15;
+  ThreadPool pool(3);
+  for (const DecodeRule rule : {DecodeRule::kPaper, DecodeRule::kBestOfThree})
+    for (ThreadPool* maybePool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      metrics::Counter& calls = metrics::counter(metrics::kDecodeCalls);
+      const std::uint64_t before = calls.value();
+      DecodeOptions options;
+      options.rule = rule;
+      Rng rng(5);
+      const EvolutionaryPlan plan =
+          planEvolutionary(context, config, rng, options, maybePool);
+      EXPECT_EQ(calls.value() - before,
+                static_cast<std::uint64_t>(plan.evaluations) + 1)
+          << "rule " << static_cast<int>(rule) << ", pool "
+          << (maybePool != nullptr);
+    }
 }
 
 /// Uncached single-source BFS straight off the public cell accessors, for

@@ -4,6 +4,8 @@
 // own initial population.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/apply.hpp"
 #include "core/bounds.hpp"
 #include "core/jsr.hpp"
@@ -141,6 +143,119 @@ TEST_P(MigrationPropertyTest, SequenceRoundTripPreservesPrograms) {
 INSTANTIATE_TEST_SUITE_P(Instances, MigrationPropertyTest,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0, 8)));
+
+// The EA's cost-only fitness against the decoder it stands in for: on
+// random orders over random instances, PaperCostEvaluator::cost must equal
+// decodeOrder(...).length() exactly (ROADMAP item 3's evaluator check).
+TEST(PaperCostEvaluator, EqualsDecodedLengthOnRandomOrders) {
+  int newStateCases = 0, explicitTempCases = 0, tempDeltaCases = 0;
+  int emptyCases = 0, singleCases = 0, wideCases = 0, orders = 0;
+  for (const int states : {2, 3, 5, 8, 13}) {
+    for (const int inputs : {1, 2, 3, 4}) {
+      for (const int newStates : {0, 1, 2}) {
+        for (const int deltas : {0, 1, 2, 4, 7, 12, 20}) {
+          for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            const InstanceSpec spec{states, inputs, deltas, newStates};
+            const std::uint64_t instanceSeed =
+                seed * 1000003 + static_cast<std::uint64_t>(
+                                     states * 1000 + inputs * 100 +
+                                     deltas * 10 + newStates);
+            std::optional<MigrationContext> context;
+            try {
+              context.emplace(makeInstance(spec, instanceSeed));
+            } catch (const Error&) {
+              continue;  // infeasible shape (mutator or generator refused)
+            }
+            // The default temporary input, then every input of M'.
+            for (int temp = -1; temp < context->targetMachine().inputCount();
+                 ++temp) {
+              DecodeOptions options;
+              if (temp >= 0) options.tempInput = context->liftTargetInput(temp);
+              const SymbolId i0 = temp >= 0 ? options.tempInput
+                                            : context->liftTargetInput(0);
+              const PaperCostEvaluator evaluator(*context, options);
+              const int n = evaluator.deltaCount();
+              ASSERT_EQ(n, loopDeltaCount(*context, options.tempInput));
+              for (const Transition& td : context->deltaTransitions())
+                if (td.input == i0 && td.from == context->targetReset())
+                  ++tempDeltaCases;
+              newStateCases += newStates > 0;
+              explicitTempCases += temp >= 0;
+              emptyCases += n == 0;
+              singleCases += n == 1;
+              wideCases += inputs == 4;
+              Rng rng(instanceSeed ^ 0x5eed);
+              for (int k = 0; k < 12; ++k) {
+                const Permutation order = randomPermutation(n, rng);
+                ++orders;
+                ASSERT_EQ(evaluator.cost(order),
+                          decodeOrder(*context, order, options).length())
+                    << "repro: |S| " << states << ", |I| " << inputs
+                    << ", |Td| " << deltas << ", new states " << newStates
+                    << ", seed " << instanceSeed << ", temp input index "
+                    << temp << ", order #" << k;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The grid must reach every case the evaluator special-cases.
+  EXPECT_GT(newStateCases, 0);
+  EXPECT_GT(explicitTempCases, 0);
+  EXPECT_GT(tempDeltaCases, 0);
+  EXPECT_GT(emptyCases, 0);
+  EXPECT_GT(singleCases, 0);
+  EXPECT_GT(wideCases, 0);
+  EXPECT_GT(orders, 10000);
+}
+
+TEST(PaperCostEvaluator, SwitchingEvaluatorsOnOneThreadKeepsEachExact) {
+  // Each thread keeps one scratch table; interleaving two evaluators must
+  // re-seed it, never score one instance on the other's table.
+  const MigrationContext a = makeInstance({8, 2, 9, 1}, 11);
+  const MigrationContext b = makeInstance({6, 3, 7, 0}, 12);
+  const PaperCostEvaluator ea(a), eb(b);
+  Rng rng(3);
+  for (int k = 0; k < 50; ++k) {
+    const Permutation pa = randomPermutation(ea.deltaCount(), rng);
+    const Permutation pb = randomPermutation(eb.deltaCount(), rng);
+    EXPECT_EQ(ea.cost(pa), decodeOrder(a, pa).length());
+    EXPECT_EQ(eb.cost(pb), decodeOrder(b, pb).length());
+  }
+}
+
+TEST(PaperCostEvaluator, KeepsTheDecoderChecks) {
+  const MigrationContext context = makeInstance({6, 2, 5, 0}, 21);
+  const PaperCostEvaluator evaluator(context);
+  const int n = evaluator.deltaCount();
+  ASSERT_GE(n, 3);
+  Permutation order(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) order[static_cast<std::size_t>(k)] = k;
+  Permutation shorter(order.begin(), order.end() - 1);
+  Permutation repeated = order;
+  repeated[1] = repeated[0];
+  Permutation outOfRange = order;
+  outOfRange[2] = n;
+  for (const Permutation& bad : {shorter, repeated, outOfRange}) {
+    EXPECT_THROW(evaluator.cost(bad), ContractError);
+    EXPECT_THROW(decodeOrder(context, bad), ContractError);
+  }
+  // A rejected order leaves the scratch table intact.
+  EXPECT_EQ(evaluator.cost(order), decodeOrder(context, order).length());
+
+  DecodeOptions bestOfThree;
+  bestOfThree.rule = DecodeRule::kBestOfThree;
+  EXPECT_THROW(PaperCostEvaluator(context, bestOfThree), ContractError);
+
+  CancelToken expired;
+  expired.cancel();
+  DecodeOptions cancellable;
+  cancellable.cancel = &expired;
+  const PaperCostEvaluator cancelled(context, cancellable);
+  EXPECT_THROW(cancelled.cost(order), CancelledError);
+}
 
 TEST(MutatorEdgeCases, ZeroDeltasIsIdentityMigration) {
   Rng rng(5);

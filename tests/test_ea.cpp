@@ -2,12 +2,18 @@
 // a permutation), determinism, and convergence on known small problems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ea/evolution.hpp"
 #include "ea/permutation.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace rfsm {
 namespace {
@@ -39,9 +45,12 @@ TEST_P(OperatorPropertyTest, CrossoversProducePermutations) {
   Rng rng(static_cast<std::uint64_t>(seed) * 1000 + size);
   const Permutation a = randomPermutation(size, rng);
   const Permutation b = randomPermutation(size, rng);
+  Permutation child;  // reused across rounds, as the EA reuses genomes
   for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(isPermutation(orderCrossover(a, b, rng)));
-    EXPECT_TRUE(isPermutation(pmxCrossover(a, b, rng)));
+    orderCrossover(a, b, rng, child);
+    EXPECT_TRUE(isPermutation(child));
+    pmxCrossover(a, b, rng, child);
+    EXPECT_TRUE(isPermutation(child));
   }
 }
 
@@ -71,7 +80,8 @@ TEST(Crossover, OxKeepsSliceOfFirstParent) {
   Rng rng(7);
   const Permutation a{0, 1, 2, 3, 4, 5};
   const Permutation b{5, 4, 3, 2, 1, 0};
-  const Permutation child = orderCrossover(a, b, rng);
+  Permutation child;
+  orderCrossover(a, b, rng, child);
   EXPECT_TRUE(isPermutation(child));
   EXPECT_EQ(child.size(), a.size());
 }
@@ -79,16 +89,116 @@ TEST(Crossover, OxKeepsSliceOfFirstParent) {
 TEST(Crossover, SingleElementIsIdentity) {
   Rng rng(3);
   const Permutation a{0};
-  EXPECT_EQ(orderCrossover(a, a, rng), a);
-  EXPECT_EQ(pmxCrossover(a, a, rng), a);
+  Permutation child{5, 6};
+  orderCrossover(a, a, rng, child);
+  EXPECT_EQ(child, a);
+  child = {5, 6};
+  pmxCrossover(a, a, rng, child);
+  EXPECT_EQ(child, a);
 }
 
 TEST(Crossover, MismatchedParentsRejected) {
   Rng rng(3);
   const Permutation a{0, 1};
   const Permutation b{0};
-  EXPECT_THROW(orderCrossover(a, b, rng), ContractError);
-  EXPECT_THROW(pmxCrossover(a, b, rng), ContractError);
+  Permutation child;
+  EXPECT_THROW(orderCrossover(a, b, rng, child), ContractError);
+  EXPECT_THROW(pmxCrossover(a, b, rng, child), ContractError);
+}
+
+TEST(Crossover, ChildAliasingAParentRejected) {
+  Rng rng(3);
+  const Permutation a{0, 1, 2};
+  Permutation b{2, 1, 0};
+  EXPECT_THROW(orderCrossover(a, b, rng, b), ContractError);
+  EXPECT_THROW(pmxCrossover(a, b, rng, b), ContractError);
+}
+
+// The operators as they stood before they wrote into a reused child buffer:
+// each allocated its child and its marks per call and wrapped the OX write
+// index with %.  Kept verbatim as the reference the rewrites must match.
+std::pair<std::size_t, std::size_t> referenceSlice(std::size_t n, Rng& rng) {
+  std::size_t lo = static_cast<std::size_t>(rng.below(n));
+  std::size_t hi = static_cast<std::size_t>(rng.below(n));
+  if (lo > hi) std::swap(lo, hi);
+  return {lo, hi};
+}
+
+Permutation referenceOrderCrossover(const Permutation& a, const Permutation& b,
+                                    Rng& rng) {
+  const std::size_t n = a.size();
+  if (n <= 1) return a;
+  auto [lo, hi] = referenceSlice(n, rng);
+  Permutation child(n, -1);
+  std::vector<bool> used(n, false);
+  for (std::size_t k = lo; k <= hi; ++k) {
+    child[k] = a[k];
+    used[static_cast<std::size_t>(a[k])] = true;
+  }
+  std::size_t write = (hi + 1) % n;
+  for (std::size_t off = 0; off < n; ++off) {
+    const int candidate = b[(hi + 1 + off) % n];
+    if (used[static_cast<std::size_t>(candidate)]) continue;
+    child[write] = candidate;
+    used[static_cast<std::size_t>(candidate)] = true;
+    write = (write + 1) % n;
+  }
+  return child;
+}
+
+Permutation referencePmxCrossover(const Permutation& a, const Permutation& b,
+                                  Rng& rng) {
+  const std::size_t n = a.size();
+  if (n <= 1) return a;
+  auto [lo, hi] = referenceSlice(n, rng);
+  Permutation child(n, -1);
+  std::vector<int> positionInChildOf(n, -1);
+  for (std::size_t k = lo; k <= hi; ++k) {
+    child[k] = a[k];
+    positionInChildOf[static_cast<std::size_t>(a[k])] = static_cast<int>(k);
+  }
+  for (std::size_t k = lo; k <= hi; ++k) {
+    int value = b[k];
+    if (positionInChildOf[static_cast<std::size_t>(value)] != -1) continue;
+    std::size_t slot = k;
+    while (child[slot] != -1) {
+      const int displaced = child[slot];
+      slot = static_cast<std::size_t>(
+          std::find(b.begin(), b.end(), displaced) - b.begin());
+    }
+    child[slot] = value;
+    positionInChildOf[static_cast<std::size_t>(value)] =
+        static_cast<int>(slot);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    if (child[k] == -1) child[k] = b[k];
+  }
+  return child;
+}
+
+TEST(Evolution, CrossoversMatchTheReferenceOperatorsAndRngDraws) {
+  // Same child and same rng state afterwards (checked through the next
+  // draw), for every size 0..64, with the child buffer reused across calls
+  // exactly as the EA's offspring buffers are.
+  Permutation oxChild, pmxChild;
+  for (int n = 0; n <= 64; ++n) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Rng setup(seed * 131 + static_cast<std::uint64_t>(n));
+      const Permutation a = randomPermutation(n, setup);
+      const Permutation b = randomPermutation(n, setup);
+
+      Rng ours(seed), reference(seed);
+      orderCrossover(a, b, ours, oxChild);
+      EXPECT_EQ(oxChild, referenceOrderCrossover(a, b, reference))
+          << "OX n " << n << " seed " << seed;
+      EXPECT_EQ(ours(), reference()) << "OX n " << n << " seed " << seed;
+
+      pmxCrossover(a, b, ours, pmxChild);
+      EXPECT_EQ(pmxChild, referencePmxCrossover(a, b, reference))
+          << "PMX n " << n << " seed " << seed;
+      EXPECT_EQ(ours(), reference()) << "PMX n " << n << " seed " << seed;
+    }
+  }
 }
 
 /// A simple permutation cost: weighted displacement from identity.  Unique
@@ -239,6 +349,47 @@ TEST(Evolution, ParallelFitnessBitIdenticalToSerial) {
   for (std::size_t g = 0; g < serial.history.size(); ++g) {
     EXPECT_EQ(serial.history[g].bestFitness, pooled.history[g].bestFitness);
     EXPECT_EQ(serial.history[g].meanFitness, pooled.history[g].meanFitness);
+  }
+}
+
+TEST(Evolution, TracedGenerationSpansCarryBestAndMean) {
+  // The best/mean arguments are formatted only while the span records;
+  // a traced run must still get them, for every generation.
+  const bool wasEnabled = trace::enabled();
+  trace::setCapacity(4096);  // also clears
+  trace::setEnabled(true);
+  EvolutionConfig config;
+  config.populationSize = 12;
+  config.generations = 6;
+  Rng rng(17);
+  const auto result = evolvePermutation(9, displacementCost, config, rng);
+  const std::string json = trace::toJson();
+  trace::setEnabled(wasEnabled);
+  trace::setCapacity(32768);
+
+  auto rendered = [](double value) {
+    std::ostringstream os;
+    os << value;
+    return os.str();
+  };
+  std::vector<std::string> events;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("\"name\": \"ea.generation\"") != std::string::npos)
+      events.push_back(line);
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(config.generations));
+  ASSERT_EQ(result.history.size(), events.size() + 1);
+  for (std::size_t g = 0; g < events.size(); ++g) {
+    const GenerationStats& stats = result.history[g + 1];
+    EXPECT_NE(events[g].find("\"generation\": " + std::to_string(g)),
+              std::string::npos)
+        << events[g];
+    EXPECT_NE(events[g].find("\"best\": " + rendered(stats.bestFitness)),
+              std::string::npos)
+        << events[g];
+    EXPECT_NE(events[g].find("\"mean\": " + rendered(stats.meanFitness)),
+              std::string::npos)
+        << events[g];
   }
 }
 

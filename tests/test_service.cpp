@@ -90,6 +90,30 @@ TEST(Protocol, PlanRangeShardsAreBitIdenticalToTheWhole) {
   }
 }
 
+TEST(Protocol, PlanRangeStopsAnEaInstanceAtItsDeadline) {
+  // One EA instance that plans for seconds uncancelled: the deadline has to
+  // stop it inside the EA's generation loop, not only between instances.
+  service::BatchSpec spec = smallSpec();
+  spec.stateCount = 24;
+  spec.inputCount = 4;
+  spec.deltaCount = 40;
+  spec.instanceCount = 1;
+  spec.planner = "ea";
+  spec.eaGenerations = 100000;
+  CancelToken cancel;
+  const CancelToken::Clock::time_point deadline =
+      CancelToken::Clock::now() + 30ms;
+  cancel.setDeadline(deadline);
+  try {
+    service::planRange(spec, 0, spec.instanceCount, &cancel);
+    ADD_FAILURE() << "the instance was planned to the end past its deadline";
+  } catch (const BatchError& error) {
+    ASSERT_EQ(error.failures().size(), 1u);
+    EXPECT_TRUE(error.failures().front().cancelled);
+  }
+  EXPECT_LT(CancelToken::Clock::now() - deadline, 1s);
+}
+
 TEST(Protocol, UnknownPlannerThrows) {
   EXPECT_THROW(service::plannerFn("quantum"), Error);
 }
