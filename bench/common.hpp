@@ -88,13 +88,6 @@ inline metrics::Snapshot& lastSnapshot() {
 /// job counts.
 inline void printTelemetry(int jobs, bool countersOnly = false) {
   metrics::Snapshot snap = metrics::snapshot();
-  // BFS-pool reuse counts depend on which thread's machine got which
-  // recycled buffer — scheduling, not planner work — so they are stripped
-  // before the sidecar stash too: CI diffs sidecars of repeated runs with
-  // --counters-must-match.
-  std::erase_if(snap.counters, [](const metrics::CounterSample& c) {
-    return c.name == metrics::kBfsPoolReuses;
-  });
   lastSnapshot() = snap;
   if (countersOnly) {
     snap.timers.clear();

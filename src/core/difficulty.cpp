@@ -4,7 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "core/mutable_machine.hpp"
+#include "core/connection.hpp"
 
 namespace rfsm {
 
@@ -30,8 +30,8 @@ DifficultyProfile analyzeDifficulty(const MigrationContext& context) {
   profile.deltaCount = static_cast<int>(deltas.size());
   if (deltas.empty()) return profile;
 
-  const MutableMachine machine(context);
-  const auto fromReset = machine.distancesFrom(context.targetReset());
+  const std::vector<int> fromReset =
+      ConnectionKernel(context).bfs(context.targetReset()).dist;
 
   double distanceSum = 0;
   int reachable = 0;

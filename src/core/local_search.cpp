@@ -15,6 +15,8 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
                            const DecodeOptions& options,
                            int maxEvaluations) {
   metrics::ScopedTimer timing(metrics::timer("planner.2opt"));
+  static metrics::Counter& decodeCalls =
+      metrics::counter(metrics::kDecodeCalls);
   const int n = loopDeltaCount(context, options.tempInput);
   std::vector<int> order = seed;
   if (order.empty()) {
@@ -25,8 +27,9 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
              "2-opt seed must cover all loop deltas");
   RFSM_CHECK(isPermutation(order), "2-opt seed must be a permutation");
 
+  const ConnectionKernel kernel(context, options);
   LocalSearchPlan plan;
-  plan.program = decodeOrder(context, order, options);
+  int length = kernel.cost(order);
   ++plan.evaluations;
 
   bool improved = true;
@@ -40,11 +43,10 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
            ++j) {
         std::reverse(order.begin() + static_cast<std::ptrdiff_t>(i),
                      order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
-        ReconfigurationProgram candidate =
-            decodeOrder(context, order, options);
+        const int candidate = kernel.cost(order);
         ++plan.evaluations;
-        if (candidate.length() < plan.program.length()) {
-          plan.program = std::move(candidate);
+        if (candidate < length) {
+          length = candidate;
           ++plan.improvements;
           improved = true;  // first improvement: restart scan
         } else {
@@ -55,6 +57,9 @@ LocalSearchPlan planTwoOpt(const MigrationContext& context,
       }
     }
   }
+  // Every scored order stands in for a decode; only the winner is decoded.
+  decodeCalls.add(static_cast<std::uint64_t>(plan.evaluations));
+  plan.program = decodeOrder(context, order, options);
   return plan;
 }
 
@@ -62,25 +67,30 @@ LocalSearchPlan planAnnealing(const MigrationContext& context,
                               const AnnealingConfig& config, Rng& rng,
                               const DecodeOptions& options) {
   metrics::ScopedTimer timing(metrics::timer("planner.anneal"));
+  static metrics::Counter& decodeCalls =
+      metrics::counter(metrics::kDecodeCalls);
   const int n = loopDeltaCount(context, options.tempInput);
+  const ConnectionKernel kernel(context, options);
   LocalSearchPlan plan;
   std::vector<int> current = randomPermutation(n, rng);
-  int currentLength = decodeOrder(context, current, options).length();
+  int currentLength = kernel.cost(current);
   ++plan.evaluations;
   std::vector<int> best = current;
   int bestLength = currentLength;
 
+  // One candidate buffer for the whole run: a move overwrites it with the
+  // current order and mutates it, acceptance swaps the two buffers.
+  std::vector<int> candidate;
   double temperature = config.initialTemperature;
   for (int move = 0; move < config.moves && n >= 2; ++move) {
-    std::vector<int> candidate = current;
+    candidate.assign(current.begin(), current.end());
     swapMutation(candidate, rng);
-    const int candidateLength =
-        decodeOrder(context, candidate, options).length();
+    const int candidateLength = kernel.cost(candidate);
     ++plan.evaluations;
     const int delta = candidateLength - currentLength;
     if (delta <= 0 ||
         rng.uniform() < std::exp(-static_cast<double>(delta) / temperature)) {
-      current = std::move(candidate);
+      std::swap(current, candidate);
       currentLength = candidateLength;
       if (currentLength < bestLength) {
         bestLength = currentLength;
@@ -90,6 +100,9 @@ LocalSearchPlan planAnnealing(const MigrationContext& context,
     }
     temperature *= config.coolingRate;
   }
+  // Every scored order stands in for a decode; the winner's decode counts
+  // itself and, as before, one evaluation.
+  decodeCalls.add(static_cast<std::uint64_t>(plan.evaluations));
   plan.program = decodeOrder(context, best, options);
   ++plan.evaluations;
   return plan;

@@ -2,8 +2,10 @@
 //
 // The delta-ordering problem is TSP-like (the paper's own observation), so
 // classic TSP local search applies: 2-opt slice reversal on the order, and
-// simulated annealing over swap/insert moves.  Both use the same decoder as
-// the EA (decodeOrder), so results are directly comparable.
+// simulated annealing over swap moves.  Both score orders with the same
+// connection rule as the EA (ConnectionKernel's cost walk, equal to
+// decodeOrder(...).length()) and decode only the winning order, so results
+// are directly comparable.
 #pragma once
 
 #include "core/migration.hpp"
@@ -16,13 +18,13 @@ namespace rfsm {
 /// Result of a local-search run.
 struct LocalSearchPlan {
   ReconfigurationProgram program;
-  int evaluations = 0;   // decoder invocations
+  int evaluations = 0;   // orders scored (annealing: plus the final decode)
   int improvements = 0;  // accepted improving moves
 };
 
 /// First-improvement 2-opt on the delta order, started from `seed` (or the
 /// identity order when empty).  Terminates at a local optimum or after
-/// `maxEvaluations` decodes.
+/// `maxEvaluations` scored orders.
 LocalSearchPlan planTwoOpt(const MigrationContext& context,
                            const std::vector<int>& seed = {},
                            const DecodeOptions& options = {},

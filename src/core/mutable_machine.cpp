@@ -1,12 +1,6 @@
 #include "core/mutable_machine.hpp"
 
-#include <algorithm>
-#include <mutex>
-#include <queue>
-#include <unordered_map>
-
 #include "util/metrics.hpp"
-#include "util/trace.hpp"
 
 namespace rfsm {
 namespace {
@@ -37,62 +31,7 @@ std::string safeName(const SymbolTable& table, SymbolId id) {
   return "<corrupt id " + std::to_string(id) + ">";
 }
 
-/// Pool bounds: beyond 64 parked buffers or 512-state shapes the allocator
-/// is cheaper than holding the memory hostage.
-constexpr std::size_t kBfsPoolMaxBuffers = 64;
-constexpr std::size_t kBfsPoolMaxStates = 512;
-
 }  // namespace
-
-struct MutableMachine::BfsPool {
-  std::mutex mutex;
-  // Parked buffers by state count; each retains its inner vectors'
-  // capacity, which is the whole savings.
-  std::unordered_map<std::size_t, std::vector<std::vector<BfsEntry>>> buffers;
-  std::size_t count = 0;
-};
-
-MutableMachine::BfsPool& MutableMachine::bfsPool() {
-  static BfsPool* pool = new BfsPool();  // immortal: released in dtors that
-                                         // may run during static teardown
-  return *pool;
-}
-
-std::vector<MutableMachine::BfsEntry> MutableMachine::acquireBfsBuffer(
-    std::size_t states) {
-  BfsPool& pool = bfsPool();
-  std::vector<BfsEntry> buffer;
-  {
-    std::lock_guard<std::mutex> lock(pool.mutex);
-    auto it = pool.buffers.find(states);
-    if (it != pool.buffers.end() && !it->second.empty()) {
-      buffer = std::move(it->second.back());
-      it->second.pop_back();
-      --pool.count;
-    }
-  }
-  if (buffer.empty()) {
-    buffer.resize(states);
-    return buffer;
-  }
-  // Version 0 never equals a live tableVersion_ (>= 1): the recycled buffer
-  // keeps its allocations but cannot serve another machine's trees.
-  for (BfsEntry& entry : buffer) entry.version = 0;
-  metrics::counter(metrics::kBfsPoolReuses).add();
-  return buffer;
-}
-
-void MutableMachine::releaseBfsBuffer(std::vector<BfsEntry>&& buffer) {
-  const std::size_t states = buffer.size();
-  if (states == 0 || states > kBfsPoolMaxStates) return;
-  BfsPool& pool = bfsPool();
-  std::lock_guard<std::mutex> lock(pool.mutex);
-  if (pool.count >= kBfsPoolMaxBuffers) return;
-  pool.buffers[states].push_back(std::move(buffer));
-  ++pool.count;
-}
-
-MutableMachine::~MutableMachine() { releaseBfsBuffer(std::move(bfsCache_)); }
 
 MutableMachine::MutableMachine(const MigrationContext& context)
     : context_(context),
@@ -177,7 +116,7 @@ SymbolId MutableMachine::applyStep(const ReconfigStep& step) {
       out_[c] = step.output;
       specified_[c] = 1;
       reseal(c);
-      ++tableVersion_;  // the transition graph changed; BFS caches are stale
+      ++tableVersion_;
       // Write-through traversal: the machine takes the new transition in
       // the same cycle (this is what makes temporary transitions shortcuts).
       state_ = step.nextState;
@@ -236,7 +175,7 @@ void MutableMachine::corruptBit(SymbolId input, SymbolId state, int bit) {
   else
     out_[c] ^= SymbolId{1} << (bit - stateBits_);
   // No reseal: the damage is silent at the RAM level.  The version bump
-  // only keeps the software BFS cache coherent with the stored words.
+  // only tells version-keyed verifiers that the stored words changed.
   ++tableVersion_;
 }
 
@@ -297,79 +236,6 @@ bool MutableMachine::matchesSource(std::string* reason) const {
     }
   }
   return true;
-}
-
-std::optional<SymbolId> MutableMachine::edgeInput(SymbolId from,
-                                                  SymbolId to) const {
-  for (SymbolId i = 0; i < context_.inputs().size(); ++i) {
-    const std::size_t c = cell(i, from);
-    if (specified_[c] != 0 && next_[c] == to) return i;
-  }
-  return std::nullopt;
-}
-
-const MutableMachine::BfsEntry& MutableMachine::bfsFrom(SymbolId from) const {
-  static metrics::Counter& hits = metrics::counter(metrics::kBfsCacheHits);
-  static metrics::Counter& misses =
-      metrics::counter(metrics::kBfsCacheMisses);
-  RFSM_CHECK(context_.states().contains(from), "BFS source out of range");
-  if (bfsCache_.empty())
-    bfsCache_ =
-        acquireBfsBuffer(static_cast<std::size_t>(context_.states().size()));
-  BfsEntry& entry = bfsCache_[static_cast<std::size_t>(from)];
-  if (entry.version == tableVersion_) {
-    hits.add();
-    return entry;
-  }
-  misses.add();
-  pollCancel(cancel_, "planner.bfs");
-  trace::ScopedSpan span(
-      "planner.bfs", "planner",
-      {trace::Arg::num("from", static_cast<std::int64_t>(from))});
-
-  const auto n = static_cast<std::size_t>(context_.states().size());
-  entry.dist.assign(n, -1);
-  entry.prevState.assign(n, kNoSymbol);
-  entry.prevInput.assign(n, kNoSymbol);
-  std::queue<SymbolId> frontier;
-  entry.dist[static_cast<std::size_t>(from)] = 0;
-  frontier.push(from);
-  while (!frontier.empty()) {
-    const SymbolId u = frontier.front();
-    frontier.pop();
-    for (SymbolId i = 0; i < context_.inputs().size(); ++i) {
-      const std::size_t c = cell(i, u);
-      if (specified_[c] == 0) continue;
-      const SymbolId v = next_[c];
-      // A corrupted F entry may point outside the state alphabet; treat the
-      // edge as missing rather than indexing out of bounds.
-      if (!context_.states().contains(v)) continue;
-      if (entry.dist[static_cast<std::size_t>(v)] != -1) continue;
-      entry.dist[static_cast<std::size_t>(v)] =
-          entry.dist[static_cast<std::size_t>(u)] + 1;
-      entry.prevState[static_cast<std::size_t>(v)] = u;
-      entry.prevInput[static_cast<std::size_t>(v)] = i;
-      frontier.push(v);
-    }
-  }
-  entry.version = tableVersion_;
-  return entry;
-}
-
-const std::vector<int>& MutableMachine::distancesFrom(SymbolId from) const {
-  return bfsFrom(from).dist;
-}
-
-std::optional<std::vector<SymbolId>> MutableMachine::pathInputs(
-    SymbolId from, SymbolId to) const {
-  const BfsEntry& bfs = bfsFrom(from);
-  if (bfs.dist[static_cast<std::size_t>(to)] == -1) return std::nullopt;
-  std::vector<SymbolId> inputs;
-  for (SymbolId v = to; v != from;
-       v = bfs.prevState[static_cast<std::size_t>(v)])
-    inputs.push_back(bfs.prevInput[static_cast<std::size_t>(v)]);
-  std::reverse(inputs.begin(), inputs.end());
-  return inputs;
 }
 
 bool MutableMachine::matchesTarget(std::string* reason) const {

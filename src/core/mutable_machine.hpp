@@ -9,14 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/migration.hpp"
 #include "core/program.hpp"
 #include "util/check.hpp"
-#include "util/deadline.hpp"
 
 namespace rfsm {
 
@@ -34,12 +32,6 @@ class MutableMachine {
   /// Starts as a copy of the source machine M, in M's reset state.  Cells
   /// outside M's (input, state) domain are unspecified.
   explicit MutableMachine(const MigrationContext& context);
-
-  /// Returns the BFS scratch buffers to the process-wide shape pool, so
-  /// the next machine with the same state count skips the allocations.
-  ~MutableMachine();
-  MutableMachine(const MutableMachine&) = default;
-  MutableMachine& operator=(const MutableMachine&) = delete;
 
   const MigrationContext& context() const { return context_; }
 
@@ -93,8 +85,8 @@ class MutableMachine {
 
   /// Flips one bit of cell (input, state): bit < stateBits flips the F
   /// entry, higher bits flip the G entry.  Does not touch the specified
-  /// flag or the checksum.  Bumps the table version (the software BFS cache
-  /// must stay coherent with the stored words; the *checksum* is what stays
+  /// flag or the checksum.  Bumps the table version (verifiers keyed on it
+  /// must see the stored words change; the *checksum* is what stays
   /// silently stale, as in hardware).
   void corruptBit(SymbolId input, SymbolId state, int bit);
 
@@ -127,28 +119,6 @@ class MutableMachine {
   /// `reason` (when non-null).
   bool matchesSource(std::string* reason = nullptr) const;
 
-  /// If there is a specified transition state -> `to`, returns one input
-  /// selecting it (lowest id); otherwise nullopt.
-  std::optional<SymbolId> edgeInput(SymbolId from, SymbolId to) const;
-
-  /// Cooperative cancellation for the BFS scans below: when set, every
-  /// cache-missing distancesFrom/pathInputs call polls the token before
-  /// walking the table and unwinds with CancelledError once it expired.
-  /// The planner service threads its per-request deadline through here.
-  void setCancel(const CancelToken* cancel) { cancel_ = cancel; }
-
-  /// BFS distances from `from` to every state over specified cells only.
-  /// Served from a per-source cache that is invalidated whenever a RAM cell
-  /// is written (rewrite steps, loadCell); the reference stays valid until
-  /// the next write.  The machine is not thread-safe — give each thread its
-  /// own MutableMachine.
-  const std::vector<int>& distancesFrom(SymbolId from) const;
-
-  /// Inputs selecting a shortest specified-cell path from -> to (empty when
-  /// from == to); std::nullopt when `to` is unreachable.
-  std::optional<std::vector<SymbolId>> pathInputs(SymbolId from,
-                                                  SymbolId to) const;
-
   /// True when the machine now realizes M': every (i', s') cell of the
   /// target domain is specified and matches F'/G'.  On mismatch, fills
   /// `reason` (when non-null) with the first offending cell.
@@ -159,29 +129,7 @@ class MutableMachine {
   Machine extractTarget() const;
 
  private:
-  /// Cached single-source BFS over the specified cells: distances plus the
-  /// predecessor (state, input) of one shortest-path tree.  Tagged with the
-  /// table version it was computed against.
-  struct BfsEntry {
-    std::uint64_t version = 0;
-    std::vector<int> dist;
-    std::vector<SymbolId> prevState;
-    std::vector<SymbolId> prevInput;
-  };
-
   std::size_t cell(SymbolId input, SymbolId state) const;
-  /// The cached BFS tree rooted at `from` (recomputed on version mismatch).
-  const BfsEntry& bfsFrom(SymbolId from) const;
-
-  // Process-wide pool of BFS cache buffers, keyed by state count: distinct
-  // machines (distinct specs, even) that share a shape reuse each other's
-  // allocations.  acquire resets every entry's version to 0 — never equal
-  // to a live tableVersion_ (which starts at 1) — so a recycled buffer can
-  // only miss, never serve another machine's tree.
-  struct BfsPool;
-  static BfsPool& bfsPool();
-  static std::vector<BfsEntry> acquireBfsBuffer(std::size_t states);
-  static void releaseBfsBuffer(std::vector<BfsEntry>&& buffer);
 
   /// Refreshes the integrity checksum of cell `c` (authorized writes only).
   void reseal(std::size_t c);
@@ -193,10 +141,8 @@ class MutableMachine {
   std::vector<std::uint64_t> integrity_;
   int stateBits_ = 1, outputBits_ = 1;
   SymbolId state_;
-  /// Bumped on every table write; 0 marks a BfsEntry as never computed.
+  /// Bumped on every table write.
   std::uint64_t tableVersion_ = 1;
-  mutable std::vector<BfsEntry> bfsCache_;  // indexed by source state
-  const CancelToken* cancel_ = nullptr;     // not owned; may be null
 };
 
 }  // namespace rfsm

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/connection.hpp"
 #include "core/mutable_machine.hpp"
 #include "util/check.hpp"
 
@@ -11,33 +12,6 @@ namespace rfsm {
 namespace {
 
 constexpr int kInf = std::numeric_limits<int>::max() / 4;
-
-/// Emits the cheaper of {walk from the current state, reset + walk from
-/// S0'} to reach `target`; throws MigrationError when neither exists.
-void appendConnect(MutableMachine& machine, ReconfigurationProgram& program,
-                   SymbolId target) {
-  const MigrationContext& context = machine.context();
-  auto emit = [&](const ReconfigStep& step) {
-    program.steps.push_back(step);
-    machine.applyStep(step);
-  };
-  if (machine.state() == target) return;
-
-  const auto fromHere = machine.distancesFrom(machine.state());
-  const int dHere = fromHere[static_cast<std::size_t>(target)];
-  const auto fromReset = machine.distancesFrom(context.targetReset());
-  const int dReset = fromReset[static_cast<std::size_t>(target)];
-  const int costWalk = dHere < 0 ? kInf : dHere;
-  const int costReset = dReset < 0 ? kInf : 1 + dReset;
-  if (costWalk >= kInf && costReset >= kInf)
-    throw MigrationError("output-only planner: state '" +
-                         context.states().name(target) +
-                         "' unreachable without temporary transitions");
-  if (costReset < costWalk) emit(ReconfigStep::reset());
-  const auto inputs = machine.pathInputs(machine.state(), target);
-  RFSM_CHECK(inputs.has_value(), "connect target became unreachable");
-  for (const SymbolId input : *inputs) emit(ReconfigStep::traverse(input));
-}
 
 }  // namespace
 
@@ -69,50 +43,6 @@ bool isOutputOnlyMigration(const MigrationContext& context) {
   return c.transitionOnly == 0 && c.both == 0 && c.structural == 0;
 }
 
-ReconfigurationProgram planOutputOnlyGreedy(const MigrationContext& context) {
-  if (!isOutputOnlyMigration(context))
-    throw MigrationError(
-        "planOutputOnlyGreedy requires an output-only migration");
-
-  MutableMachine machine(context);
-  ReconfigurationProgram program;
-  auto emit = [&](const ReconfigStep& step) {
-    program.steps.push_back(step);
-    machine.applyStep(step);
-  };
-  emit(ReconfigStep::reset());
-
-  std::vector<Transition> deltas = context.deltaTransitions();
-  std::vector<bool> done(deltas.size(), false);
-  for (std::size_t round = 0; round < deltas.size(); ++round) {
-    // Nearest remaining delta from the current state (reset allowed).
-    const auto fromHere = machine.distancesFrom(machine.state());
-    const auto fromReset = machine.distancesFrom(context.targetReset());
-    int best = -1;
-    int bestCost = kInf + 1;
-    for (std::size_t k = 0; k < deltas.size(); ++k) {
-      if (done[k]) continue;
-      const auto from = static_cast<std::size_t>(deltas[k].from);
-      const int dHere = fromHere[from] < 0 ? kInf : fromHere[from];
-      const int dReset = fromReset[from] < 0 ? kInf : 1 + fromReset[from];
-      const int cost = std::min(dHere, dReset);
-      if (cost < bestCost) {
-        bestCost = cost;
-        best = static_cast<int>(k);
-      }
-    }
-    const Transition& td = deltas[static_cast<std::size_t>(best)];
-    appendConnect(machine, program, td.from);
-    // Output-only rewrite: td.to equals the existing F value, so the graph
-    // is unchanged and the machine simply takes the (relabelled) edge.
-    emit(ReconfigStep::rewrite(td.input, td.to, td.output));
-    done[static_cast<std::size_t>(best)] = true;
-  }
-  if (machine.state() != context.targetReset())
-    emit(ReconfigStep::reset());
-  return program;
-}
-
 std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
     const MigrationContext& context, int maxDeltas) {
   if (!isOutputOnlyMigration(context))
@@ -127,13 +57,15 @@ std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
     return program;
   }
 
-  // Static distances (the graph never changes in output-only migrations).
-  const MutableMachine machine(context);
+  // Static BFS trees (the graph never changes in output-only migrations):
+  // from S0' and from every delta's landing state, the states a connection
+  // can start from.
+  const ConnectionKernel kernel(context);
   const SymbolId s0 = context.targetReset();
-  const auto fromReset = machine.distancesFrom(s0);
-  auto walkOrReset = [&](const std::vector<int>& fromU, SymbolId v) {
-    const int dWalk = fromU[static_cast<std::size_t>(v)];
-    const int dReset = fromReset[static_cast<std::size_t>(v)];
+  const BfsTree fromReset = kernel.bfs(s0);
+  auto walkOrReset = [&](const BfsTree& fromU, SymbolId v) {
+    const int dWalk = fromU.dist[static_cast<std::size_t>(v)];
+    const int dReset = fromReset.dist[static_cast<std::size_t>(v)];
     const int costWalk = dWalk < 0 ? kInf : dWalk;
     const int costReset = dReset < 0 ? kInf : 1 + dReset;
     return std::min(costWalk, costReset);
@@ -141,11 +73,11 @@ std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
 
   // cost[a][b]: cycles to move from delta a's landing state to delta b's
   // source; start[b]: from S0' (after the leading reset) to b's source.
-  std::vector<std::vector<int>> fromLanding(
-      static_cast<std::size_t>(n));
+  std::vector<BfsTree> fromLanding;
+  fromLanding.reserve(static_cast<std::size_t>(n));
   for (int a = 0; a < n; ++a)
-    fromLanding[static_cast<std::size_t>(a)] =
-        machine.distancesFrom(deltas[static_cast<std::size_t>(a)].to);
+    fromLanding.push_back(
+        kernel.bfs(deltas[static_cast<std::size_t>(a)].to));
   std::vector<int> start(static_cast<std::size_t>(n));
   std::vector<std::vector<int>> cost(
       static_cast<std::size_t>(n), std::vector<int>(static_cast<std::size_t>(n)));
@@ -199,7 +131,7 @@ std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
   if (bestLast < 0 || bestTotal >= kInf)
     throw MigrationError("output-only optimal planner: instance unreachable");
 
-  // Reconstruct the order and emit the program with the shared connector.
+  // Reconstruct the order.
   std::vector<int> order;
   std::size_t mask = full - 1;
   for (int last = bestLast; last != -1;) {
@@ -210,19 +142,37 @@ std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
   }
   std::reverse(order.begin(), order.end());
 
-  MutableMachine replay(context);
+  // Emit: connect by the cheaper of {walk from here, reset + walk from S0'}
+  // (the walk on ties), then rewrite in place.
   ReconfigurationProgram program;
-  auto emit = [&](const ReconfigStep& step) {
-    program.steps.push_back(step);
-    replay.applyStep(step);
-  };
-  emit(ReconfigStep::reset());
+  program.steps.push_back(ReconfigStep::reset());
+  SymbolId state = s0;
+  const BfsTree* here = &fromReset;
   for (const int index : order) {
     const Transition& td = deltas[static_cast<std::size_t>(index)];
-    appendConnect(replay, program, td.from);
-    emit(ReconfigStep::rewrite(td.input, td.to, td.output));
+    if (state != td.from) {
+      const int dHere = here->dist[static_cast<std::size_t>(td.from)];
+      const int dReset = fromReset.dist[static_cast<std::size_t>(td.from)];
+      const int costWalk = dHere < 0 ? kInf : dHere;
+      const int costReset = dReset < 0 ? kInf : 1 + dReset;
+      if (costWalk >= kInf && costReset >= kInf)
+        throw MigrationError("output-only planner: state '" +
+                             context.states().name(td.from) +
+                             "' unreachable without temporary transitions");
+      if (costReset < costWalk) {
+        program.steps.push_back(ReconfigStep::reset());
+        here = &fromReset;
+      }
+      for (const SymbolId input : here->walkTo(td.from))
+        program.steps.push_back(ReconfigStep::traverse(input));
+    }
+    // Output-only rewrite: td.to equals the existing F value, so the graph
+    // is unchanged and the machine simply takes the (relabelled) edge.
+    program.steps.push_back(ReconfigStep::rewrite(td.input, td.to, td.output));
+    state = td.to;
+    here = &fromLanding[static_cast<std::size_t>(index)];
   }
-  if (replay.state() != s0) emit(ReconfigStep::reset());
+  if (state != s0) program.steps.push_back(ReconfigStep::reset());
   return program;
 }
 

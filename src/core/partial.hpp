@@ -43,16 +43,11 @@ DeltaClassification classifyDeltas(const MigrationContext& context);
 /// never need temporary transitions.
 bool isOutputOnlyMigration(const MigrationContext& context);
 
-/// Plans an output-only migration by walking the *fixed* transition graph
-/// of M between delta cells (greedy nearest-delta order).  Every step is a
-/// Traverse or an in-place Rewrite that preserves F; the graph never
-/// changes.  Requires isOutputOnlyMigration(); throws MigrationError
-/// otherwise.
-ReconfigurationProgram planOutputOnlyGreedy(const MigrationContext& context);
-
 /// Optimal delta order for an output-only migration via Held-Karp on the
-/// static distance matrix; exact because the graph is fixed.  Returns
-/// nullopt when |Td| > maxDeltas (Held-Karp is O(2^n n^2)).
+/// static distance matrix; exact because the graph is fixed.  Every step is
+/// a Traverse along M's graph or an in-place Rewrite that preserves F.
+/// Requires isOutputOnlyMigration(); throws MigrationError otherwise.
+/// Returns nullopt when |Td| > maxDeltas (Held-Karp is O(2^n n^2)).
 std::optional<ReconfigurationProgram> planOutputOnlyOptimal(
     const MigrationContext& context, int maxDeltas = 14);
 

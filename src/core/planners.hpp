@@ -16,6 +16,10 @@
 //    |Td| only); optimal within the decoder family.
 //  * planNoTemporary             — ablation: path-following only, temporary
 //    transitions used solely when a delta source is otherwise unreachable.
+//
+// All but planJsr walk the connection rule on one ConnectionKernel
+// (core/connection.hpp): the searches score orders by its cost walk and
+// decode only the winner.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "core/connection.hpp"
 #include "core/migration.hpp"
 #include "core/program.hpp"
 #include "ea/evolution.hpp"
@@ -34,34 +39,11 @@
 
 namespace rfsm {
 
-/// How decodeOrder connects the current state to the next delta source.
-enum class DecodeRule {
-  /// Paper Sec. 4.6: existing path of length <= 1, else reset + temporary.
-  kPaper,
-  /// Min of {walk from here, reset + walk, reset + temporary}; walks may be
-  /// any length.  Strictly better than kPaper, used by the ablation bench.
-  kBestOfThree,
-};
-
-/// Options shared by the order-decoding planners.
-struct DecodeOptions {
-  /// Fixed input condition i0 for temporary transitions (superset id);
-  /// kNoSymbol = first input of M'.
-  SymbolId tempInput = kNoSymbol;
-  DecodeRule rule = DecodeRule::kPaper;
-  /// When false, temporary transitions are only used for otherwise
-  /// unreachable delta sources (ablation A2).
-  bool allowTemporary = true;
-  /// Cooperative cancellation: polled once per decode and per BFS scan;
-  /// an expired token unwinds the planner with CancelledError.  nullptr =
-  /// not cancellable.
-  const CancelToken* cancel = nullptr;
-};
-
 /// Decodes a permutation of the (loop-)delta transitions into a program.
 /// `order` must be a permutation of 0..n-1 where n is the number of delta
 /// transitions excluding the one living in the temporary cell (i0, S0') —
-/// see loopDeltaCount().
+/// see loopDeltaCount().  Counts one planner.decode_call and records the
+/// planner.decode histogram and span.
 ReconfigurationProgram decodeOrder(const MigrationContext& context,
                                    const std::vector<int>& order,
                                    const DecodeOptions& options = {});
@@ -70,52 +52,6 @@ ReconfigurationProgram decodeOrder(const MigrationContext& context,
 /// cell (i0, S0')).
 int loopDeltaCount(const MigrationContext& context,
                    SymbolId tempInput = kNoSymbol);
-
-/// Cost-only twin of decodeOrder under DecodeRule::kPaper — the EA's
-/// fitness.  cost(order) == decodeOrder(context, order, options).length()
-/// for every order, but it builds no MutableMachine and no program: it
-/// walks the paper's connection rule over a flat |S|·|I| next-state table
-/// (superset ids, kNoSymbol = unspecified), logs every cell it rewrites and
-/// undoes the log before returning, in O(n·|I|) per order.
-///
-/// Built once per planEvolutionary call.  cost() is thread-safe: each
-/// calling thread keeps its own scratch table, so there is no lock, and a
-/// warm thread allocates nothing per evaluation.  It keeps decodeOrder's
-/// checks: the temporary input must lie in M' (checked here, at
-/// construction), the order must be a permutation of the loop deltas, and
-/// options.cancel is polled on every call.
-class PaperCostEvaluator {
- public:
-  /// Requires options.rule == DecodeRule::kPaper.  Copies what it needs:
-  /// no reference to `context` is kept.
-  explicit PaperCostEvaluator(const MigrationContext& context,
-                              const DecodeOptions& options = {});
-
-  /// Number of deltas an order ranges over (loopDeltaCount).
-  int deltaCount() const { return static_cast<int>(deltas_.size()); }
-
-  /// Length of the program decodeOrder would build for `order`.
-  int cost(const std::vector<int>& order) const;
-
- private:
-  /// A loop delta as the walk needs it: the cell it rewrites and its
-  /// source and target states.
-  struct Delta {
-    std::size_t cell;
-    SymbolId from;
-    SymbolId to;
-  };
-
-  std::uint64_t id_;  ///< process-unique: tags the per-thread scratch
-  const CancelToken* cancel_;
-  SymbolId inputCount_;
-  std::vector<SymbolId> next_;  ///< M's next-state table over supersets
-  std::vector<Delta> deltas_;
-  SymbolId s0_;
-  std::size_t tempCell_;       ///< cell (i0, S0')
-  SymbolId tempTarget_;        ///< F'(i0, S0')
-  bool tempCellIsDelta_ = false;
-};
 
 /// Nearest-neighbour ordering under the decoder's connection cost.
 ReconfigurationProgram planGreedy(const MigrationContext& context,
@@ -129,10 +65,9 @@ struct EvolutionaryPlan {
   std::vector<double> bestPerGeneration;
 };
 
-/// The paper's evolutionary heuristic (Sec. 4.6).  Under
-/// DecodeRule::kPaper the fitness is a PaperCostEvaluator and only the
-/// winning order is decoded; kBestOfThree scores every order with
-/// decodeOrder.  Either way planner.decode_calls rises by one per fitness
+/// The paper's evolutionary heuristic (Sec. 4.6).  The fitness is the
+/// ConnectionKernel's cost walk under options.rule, and only the winning
+/// order is decoded, so planner.decode_calls rises by one per fitness
 /// evaluation plus one for the winner.  A non-null `pool` parallelizes the
 /// fitness evaluations; the result is bit-identical for every job count
 /// (see evolvePermutation).
@@ -141,14 +76,16 @@ EvolutionaryPlan planEvolutionary(const MigrationContext& context,
                                   const DecodeOptions& options = {},
                                   ThreadPool* pool = nullptr);
 
-/// Exhaustive search over all delta orders; returns the shortest program.
-/// Refuses (returns nullopt) when loopDeltaCount > maxDeltas.
+/// Exhaustive search over all delta orders; returns the shortest program
+/// (the lexicographically first order of that length).  Refuses (returns
+/// nullopt) when loopDeltaCount > maxDeltas.
 std::optional<ReconfigurationProgram> planExact(
     const MigrationContext& context, int maxDeltas = 9,
     const DecodeOptions& options = {});
 
-/// Ablation: connect deltas by shortest existing walks; temporary
-/// transitions only as a last resort for unreachable sources.
+/// Ablation: planGreedy under DecodeRule::kNoTemporary — connect deltas by
+/// shortest existing walks; temporary transitions only as a last resort for
+/// unreachable sources.
 ReconfigurationProgram planNoTemporary(const MigrationContext& context,
                                        SymbolId tempInput = kNoSymbol);
 

@@ -194,25 +194,19 @@ std::string toMarkdown(const Snapshot& snapshot) {
       table.addRow({c.name, std::to_string(c.value)});
     os << table.toMarkdown();
 
-    std::uint64_t hits = 0, misses = 0;
     std::uint64_t planHits = 0, planMisses = 0;
     for (const CounterSample& c : snapshot.counters) {
-      if (c.name == kBfsCacheHits) hits = c.value;
-      if (c.name == kBfsCacheMisses) misses = c.value;
       if (c.name == kServicePlanCacheHits) planHits = c.value;
       if (c.name == kServicePlanCacheMisses) planMisses = c.value;
     }
-    auto rate = [](std::uint64_t h, std::uint64_t m) {
-      std::ostringstream out;
-      out.setf(std::ios::fixed);
-      out.precision(1);
-      out << (100.0 * static_cast<double>(h) / static_cast<double>(h + m));
-      return out.str();
-    };
-    if (hits + misses > 0)
-      os << "BFS cache hit rate: " << rate(hits, misses) << "%\n";
-    if (planHits + planMisses > 0)
-      os << "Plan cache hit rate: " << rate(planHits, planMisses) << "%\n";
+    if (planHits + planMisses > 0) {
+      std::ostringstream rate;
+      rate.setf(std::ios::fixed);
+      rate.precision(1);
+      rate << (100.0 * static_cast<double>(planHits) /
+               static_cast<double>(planHits + planMisses));
+      os << "Plan cache hit rate: " << rate.str() << "%\n";
+    }
   }
   if (!snapshot.gauges.empty()) {
     if (!snapshot.counters.empty()) os << "\n";
@@ -381,9 +375,6 @@ std::vector<std::string> canonicalNames() {
   return {
       kDecodeCalls,
       kProgramsValidated,
-      kBfsCacheHits,
-      kBfsCacheMisses,
-      kBfsPoolReuses,
       kDecodeLatency,
       kInstanceLatency,
       kVerifyLatency,

@@ -1,7 +1,7 @@
 // Lightweight planner telemetry: named counters, wall-clock timers, and
 // log-scale latency histograms.
 //
-// Hot paths (decodeOrder, the MutableMachine BFS cache, validateProgram)
+// Hot paths (decodeOrder, the planners' order scoring, validateProgram)
 // bump process-wide atomic counters; planners time themselves with
 // ScopedTimer and feed per-call latencies into histograms (p50/p90/p99).
 // Benches and the CLI report render a snapshot as a markdown table, CSV,
@@ -137,7 +137,7 @@ Snapshot snapshot();
 void resetAll();
 
 /// Renders counters and timers as markdown tables; "" for an empty
-/// snapshot.  Derived rates (e.g. the BFS cache hit rate) are appended when
+/// snapshot.  Derived rates (the plan cache hit rate) are appended when
 /// both ingredients are present.
 std::string toMarkdown(const Snapshot& snapshot);
 
@@ -157,12 +157,6 @@ std::string toJson(const Snapshot& snapshot);
 // Canonical metric names used by the planning engine.
 inline constexpr const char* kDecodeCalls = "planner.decode_calls";
 inline constexpr const char* kProgramsValidated = "planner.programs_validated";
-inline constexpr const char* kBfsCacheHits = "cache.bfs_hits";
-inline constexpr const char* kBfsCacheMisses = "cache.bfs_misses";
-// BFS scratch buffers reused across MutableMachine instances that share a
-// state count (mutable_machine.cpp's process-wide pool).  Scheduling-
-// dependent under jobs > 1, so benches strip it from their artifacts.
-inline constexpr const char* kBfsPoolReuses = "cache.bfs_pool_reuses";
 
 // Canonical histogram names of the planning and verification layers
 // (values are nanoseconds; snapshots render percentiles in ms).

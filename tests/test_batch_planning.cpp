@@ -1,6 +1,6 @@
 // Tests for the parallel batch planning engine: bit-identical results for
-// every job count (the engine's core contract), the per-machine BFS cache
-// against an uncached reference, and the telemetry counters it feeds.
+// every job count (the engine's core contract), the planners' BFS against
+// an uncached reference, and the telemetry counters it feeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/apply.hpp"
+#include "core/connection.hpp"
 #include "core/jsr.hpp"
 #include "core/mutable_machine.hpp"
 #include "core/planners.hpp"
@@ -343,7 +344,7 @@ TEST(PlanEvolutionary, DecodeCallsCountEveryEvaluationPlusTheWinner) {
 }
 
 /// Uncached single-source BFS straight off the public cell accessors, for
-/// checking the MutableMachine cache after arbitrary table writes.
+/// checking the kernel's BFS after arbitrary table writes.
 std::vector<int> referenceDistances(const MutableMachine& machine,
                                     SymbolId from) {
   const MigrationContext& context = machine.context();
@@ -367,45 +368,70 @@ std::vector<int> referenceDistances(const MutableMachine& machine,
   return dist;
 }
 
+/// The machine's next-state table in the kernel's flat layout (cell
+/// state·|I| + input, kNoSymbol = unspecified).
+std::vector<SymbolId> flatTable(const MutableMachine& machine) {
+  const MigrationContext& context = machine.context();
+  std::vector<SymbolId> table;
+  for (SymbolId s = 0; s < context.states().size(); ++s)
+    for (SymbolId i = 0; i < context.inputs().size(); ++i)
+      table.push_back(machine.isSpecified(i, s) ? machine.next(i, s)
+                                                : kNoSymbol);
+  return table;
+}
+
 TEST(BfsCache, MatchesUncachedReferenceAfterEveryWrite) {
   const MigrationContext context = makeInstance(9, 7, 555);
   MutableMachine machine(context);
   const ReconfigurationProgram program = planJsr(context);
   const int stateCount = static_cast<int>(context.states().size());
+  const SymbolId inputCount = context.inputs().size();
 
+  // The kernel's own table is M's.
+  const ConnectionKernel kernel(context);
+  for (SymbolId s = 0; s < stateCount; ++s)
+    EXPECT_EQ(kernel.bfs(s).dist, referenceDistances(machine, s))
+        << "source " << s;
+
+  // One tree rebuilt in place after every write, as a walk's rows are.
+  BfsTree tree;
   auto checkAllSources = [&]() {
+    const std::vector<SymbolId> table = flatTable(machine);
     for (SymbolId s = 0; s < stateCount; ++s) {
-      const std::vector<int>& cached = machine.distancesFrom(s);
+      tree.build(table, inputCount, s);
       const std::vector<int> reference = referenceDistances(machine, s);
-      ASSERT_EQ(static_cast<int>(cached.size()), stateCount);
+      ASSERT_EQ(static_cast<int>(tree.dist.size()), stateCount);
       // Both use -1 for unreachable states.
-      EXPECT_EQ(cached, reference) << "source " << s;
+      EXPECT_EQ(tree.dist, reference) << "source " << s;
     }
   };
 
   checkAllSources();
   for (const ReconfigStep& step : program.steps) {
     machine.applyStep(step);
-    checkAllSources();  // rewrites bump the table version; cache must follow
+    checkAllSources();  // rewrites change the graph; the tree must follow
   }
   EXPECT_TRUE(machine.matchesTarget());
 }
 
 TEST(BfsCache, PathInputsWalkToTheTarget) {
   const MigrationContext context = makeInstance(8, 5, 808);
-  MutableMachine machine(context);
+  const MutableMachine machine(context);
+  const ConnectionKernel kernel(context);
   const int stateCount = static_cast<int>(context.states().size());
   const SymbolId from = machine.state();
+  const BfsTree tree = kernel.bfs(from);
+  const std::vector<int> reference = referenceDistances(machine, from);
   for (SymbolId to = 0; to < stateCount; ++to) {
-    const auto inputs = machine.pathInputs(from, to);
-    const std::vector<int>& dist = machine.distancesFrom(from);
-    if (!inputs.has_value()) {
-      EXPECT_EQ(dist[to], -1);
+    if (tree.dist[to] < 0) {
+      EXPECT_EQ(reference[to], -1);
       continue;
     }
-    EXPECT_EQ(static_cast<int>(inputs->size()), dist[to]);
+    const std::vector<SymbolId> inputs = tree.walkTo(to);
+    EXPECT_EQ(static_cast<int>(inputs.size()), tree.dist[to]);
+    EXPECT_EQ(tree.dist[to], reference[to]);
     SymbolId here = from;
-    for (const SymbolId u : *inputs) {
+    for (const SymbolId u : inputs) {
       ASSERT_TRUE(machine.isSpecified(u, here));
       here = machine.next(u, here);
     }

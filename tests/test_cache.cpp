@@ -1,5 +1,4 @@
-// SLRU + ghost-list cache policy, canonical content hashing, and the
-// BFS-buffer shape pool.
+// SLRU + ghost-list cache policy and canonical content hashing.
 //
 // The SLRU suite pins the admission/eviction policy the plan cache rides
 // on — including the fill-evict-reinsert sequence that a bare-FIFO
@@ -15,14 +14,7 @@
 #include <vector>
 
 #include "core/canonical_hash.hpp"
-#include "core/migration.hpp"
-#include "core/mutable_machine.hpp"
-#include "gen/families.hpp"
-#include "gen/generator.hpp"
-#include "gen/mutator.hpp"
 #include "util/cache.hpp"
-#include "util/metrics.hpp"
-#include "util/rng.hpp"
 
 namespace rfsm {
 namespace {
@@ -218,59 +210,6 @@ TEST(CanonicalHasher, EmptyStringStillAbsorbs) {
   with.u64(1).str("").u64(2);
   without.u64(1).u64(2);
   EXPECT_NE(with.hex(), without.hex());
-}
-
-// --- BFS-buffer shape pool ---------------------------------------------
-
-TEST(BfsPool, ReusesBuffersAcrossSameShapeMachines) {
-  const MigrationContext context(example41Source(), example41Target());
-  metrics::counter(metrics::kBfsPoolReuses).reset();
-  {
-    MutableMachine first(context);
-    first.distancesFrom(0);  // allocates + fills the BFS cache
-  }  // destructor returns the buffer to the shape pool
-  {
-    MutableMachine second(context);
-    second.distancesFrom(0);
-  }
-  EXPECT_GE(metrics::counter(metrics::kBfsPoolReuses).value(), 1u)
-      << "second same-shape machine did not reuse the pooled buffer";
-}
-
-TEST(BfsPool, ReusedBufferServesNoStaleDistances) {
-  // Two *different* machines sharing a shape (8 superset states, a state
-  // count no other test pools): the machine that reuses the pooled buffer
-  // must compute its own distances, not inherit the previous owner's.
-  RandomMachineSpec shape;
-  shape.stateCount = 8;
-  shape.inputCount = 2;
-  shape.outputCount = 2;
-  MutationSpec mutation;
-  mutation.deltaCount = 3;
-  const auto context = [&](std::uint64_t seed) {
-    Rng rng(seed);
-    const Machine source = randomMachine(shape, rng);
-    const Machine target = mutateMachine(source, mutation, rng);
-    return MigrationContext(source, target);
-  };
-  const MigrationContext first = context(11);
-  const MigrationContext second = context(22);
-
-  {
-    MutableMachine polluter(first);
-    polluter.distancesFrom(0);
-  }  // pools an 8-state buffer filled with `first`'s BFS results
-  const std::uint64_t before =
-      metrics::counter(metrics::kBfsPoolReuses).value();
-  MutableMachine reuser(second);
-  const std::vector<int> viaPool = reuser.distancesFrom(0);
-  EXPECT_GT(metrics::counter(metrics::kBfsPoolReuses).value(), before)
-      << "test is vacuous: the pooled buffer was not reused";
-  // Ground truth from a machine that CANNOT have reused the pooled buffer
-  // (the reuser still holds it).
-  MutableMachine fresh(second);
-  EXPECT_EQ(viaPool, fresh.distancesFrom(0))
-      << "pooled buffer leaked stale BFS results across machines";
 }
 
 }  // namespace

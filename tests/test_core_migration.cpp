@@ -8,6 +8,7 @@
 #include <set>
 
 #include "core/apply.hpp"
+#include "core/connection.hpp"
 #include "core/migration.hpp"
 #include "core/mutable_machine.hpp"
 #include "core/program.hpp"
@@ -145,31 +146,42 @@ TEST(MutableMachine, ResetForcesTerminalState) {
   EXPECT_EQ(machine.state(), context.targetReset());
 }
 
+// The planners' table queries run on ConnectionKernel's BFS over M's table;
+// the edges it reports are checked against MutableMachine's cells.
 TEST(MutableMachine, EdgeInputAndDistances) {
   const MigrationContext context(example42Source(), example42Target());
   const MutableMachine machine(context);
+  const ConnectionKernel kernel(context);
   const SymbolId s0 = context.states().at("S0");
   const SymbolId s1 = context.states().at("S1");
   const SymbolId s3 = context.states().at("S3");
-  ASSERT_TRUE(machine.edgeInput(s0, s1).has_value());
-  EXPECT_EQ(context.inputs().name(*machine.edgeInput(s0, s1)), "1");
-  EXPECT_FALSE(machine.edgeInput(s0, s3).has_value());
-  const auto dist = machine.distancesFrom(s0);
-  EXPECT_EQ(dist[static_cast<std::size_t>(s3)], 3);
+  // An edge is a one-step tree path; the BFS scans inputs in ascending
+  // order, so the tree takes the lowest input selecting it.
+  const BfsTree tree = kernel.bfs(s0);
+  ASSERT_EQ(tree.dist[static_cast<std::size_t>(s1)], 1);
+  const SymbolId input = tree.prevInput[static_cast<std::size_t>(s1)];
+  EXPECT_EQ(context.inputs().name(input), "1");
+  EXPECT_EQ(machine.next(input, s0), s1);
+  EXPECT_NE(tree.dist[static_cast<std::size_t>(s3)], 1);  // no edge to S3
+  EXPECT_EQ(tree.dist[static_cast<std::size_t>(s3)], 3);
 }
 
 TEST(MutableMachine, PathInputsReconstructsRing) {
   const MigrationContext context(example42Source(), example42Target());
   const MutableMachine machine(context);
-  const auto path = machine.pathInputs(context.states().at("S0"),
-                                       context.states().at("S3"));
-  ASSERT_TRUE(path.has_value());
-  ASSERT_EQ(path->size(), 3u);
-  for (const SymbolId i : *path) EXPECT_EQ(context.inputs().name(i), "1");
-  const auto self = machine.pathInputs(context.states().at("S2"),
-                                       context.states().at("S2"));
-  ASSERT_TRUE(self.has_value());
-  EXPECT_TRUE(self->empty());
+  const ConnectionKernel kernel(context);
+  const SymbolId s0 = context.states().at("S0");
+  const SymbolId s3 = context.states().at("S3");
+  const std::vector<SymbolId> path = kernel.bfs(s0).walkTo(s3);
+  ASSERT_EQ(path.size(), 3u);
+  SymbolId here = s0;
+  for (const SymbolId i : path) {
+    EXPECT_EQ(context.inputs().name(i), "1");
+    here = machine.next(i, here);
+  }
+  EXPECT_EQ(here, s3);
+  const SymbolId s2 = context.states().at("S2");
+  EXPECT_TRUE(kernel.bfs(s2).walkTo(s2).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for partial reconfiguration: delta classification and the
-// output-only planners (greedy and Held-Karp-optimal).
+// Held-Karp-optimal output-only planner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,17 +91,6 @@ TEST(Classify, TransitionOnlyCounted) {
   EXPECT_EQ(c.total(), 1);
 }
 
-TEST(OutputOnly, GreedyPlansParityFlip) {
-  const MigrationContext context(sampleMachine("parity_even"),
-                                 sampleMachine("parity_odd"));
-  const ReconfigurationProgram z = planOutputOnlyGreedy(context);
-  const ValidationResult verdict = validateProgram(context, z);
-  EXPECT_TRUE(verdict.valid) << verdict.reason;
-  // No temporary transitions are ever created.
-  EXPECT_EQ(z.temporaryCount(), 0);
-  EXPECT_GE(z.length(), programLowerBound(context));
-}
-
 TEST(OutputOnly, OptimalNoWorseThanGreedyAndJsr) {
   Rng rng(31);
   RandomMachineSpec spec;
@@ -114,12 +103,9 @@ TEST(OutputOnly, OptimalNoWorseThanGreedyAndJsr) {
   ASSERT_TRUE(isOutputOnlyMigration(context));
   ASSERT_EQ(context.deltaCount(), 6);
 
-  const ReconfigurationProgram greedy = planOutputOnlyGreedy(context);
   const auto optimal = planOutputOnlyOptimal(context);
   ASSERT_TRUE(optimal.has_value());
-  EXPECT_TRUE(validateProgram(context, greedy).valid);
   EXPECT_TRUE(validateProgram(context, *optimal).valid);
-  EXPECT_LE(optimal->length(), greedy.length());
   EXPECT_LE(optimal->length(), planJsr(context).length());
 }
 
@@ -145,7 +131,6 @@ TEST(OutputOnly, OptimalMatchesExhaustiveDecoder) {
 
 TEST(OutputOnly, RefusesMixedMigrations) {
   const MigrationContext context(example41Source(), example41Target());
-  EXPECT_THROW(planOutputOnlyGreedy(context), MigrationError);
   EXPECT_THROW(planOutputOnlyOptimal(context), MigrationError);
 }
 
@@ -187,12 +172,10 @@ TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
   const MigrationContext context(source, target);
   ASSERT_TRUE(isOutputOnlyMigration(context));
 
-  const ReconfigurationProgram greedy = planOutputOnlyGreedy(context);
-  EXPECT_TRUE(validateProgram(context, greedy).valid);
-  EXPECT_EQ(greedy.temporaryCount(), 0);
   if (const auto optimal = planOutputOnlyOptimal(context)) {
     EXPECT_TRUE(validateProgram(context, *optimal).valid);
-    EXPECT_LE(optimal->length(), greedy.length());
+    EXPECT_EQ(optimal->temporaryCount(), 0);
+    EXPECT_GE(optimal->length(), programLowerBound(context));
   }
 }
 

@@ -8,12 +8,14 @@
 
 #include "core/apply.hpp"
 #include "core/bounds.hpp"
+#include "core/connection.hpp"
 #include "core/jsr.hpp"
 #include "core/planners.hpp"
 #include "core/sequence.hpp"
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rfsm {
 namespace {
@@ -144,9 +146,15 @@ INSTANTIATE_TEST_SUITE_P(Instances, MigrationPropertyTest,
                          ::testing::Combine(::testing::Range(0, 4),
                                             ::testing::Range(0, 8)));
 
-// The EA's cost-only fitness against the decoder it stands in for: on
-// random orders over random instances, PaperCostEvaluator::cost must equal
-// decodeOrder(...).length() exactly (ROADMAP item 3's evaluator check).
+constexpr DecodeRule kEveryRule[] = {DecodeRule::kPaper,
+                                     DecodeRule::kBestOfThree,
+                                     DecodeRule::kNoTemporary};
+
+// The kernel's cost walk against its decoding walk, and every decoded
+// program against MutableMachine replay (validateProgram), which shares no
+// code with the walk: on random orders over random instances, under every
+// rule, cost(order) must equal the decoded program's length and that
+// program must realize M'.
 TEST(PaperCostEvaluator, EqualsDecodedLengthOnRandomOrders) {
   int newStateCases = 0, explicitTempCases = 0, tempDeltaCases = 0;
   int emptyCases = 0, singleCases = 0, wideCases = 0, orders = 0;
@@ -173,9 +181,7 @@ TEST(PaperCostEvaluator, EqualsDecodedLengthOnRandomOrders) {
               if (temp >= 0) options.tempInput = context->liftTargetInput(temp);
               const SymbolId i0 = temp >= 0 ? options.tempInput
                                             : context->liftTargetInput(0);
-              const PaperCostEvaluator evaluator(*context, options);
-              const int n = evaluator.deltaCount();
-              ASSERT_EQ(n, loopDeltaCount(*context, options.tempInput));
+              const int n = loopDeltaCount(*context, options.tempInput);
               for (const Transition& td : context->deltaTransitions())
                 if (td.input == i0 && td.from == context->targetReset())
                   ++tempDeltaCases;
@@ -184,16 +190,32 @@ TEST(PaperCostEvaluator, EqualsDecodedLengthOnRandomOrders) {
               emptyCases += n == 0;
               singleCases += n == 1;
               wideCases += inputs == 4;
-              Rng rng(instanceSeed ^ 0x5eed);
-              for (int k = 0; k < 12; ++k) {
-                const Permutation order = randomPermutation(n, rng);
-                ++orders;
-                ASSERT_EQ(evaluator.cost(order),
-                          decodeOrder(*context, order, options).length())
-                    << "repro: |S| " << states << ", |I| " << inputs
-                    << ", |Td| " << deltas << ", new states " << newStates
-                    << ", seed " << instanceSeed << ", temp input index "
-                    << temp << ", order #" << k;
+              for (const DecodeRule rule : kEveryRule) {
+                options.rule = rule;
+                const ConnectionKernel kernel(*context, options);
+                ASSERT_EQ(kernel.deltaCount(), n);
+                Rng rng(instanceSeed ^ 0x5eed);
+                for (int k = 0; k < 12; ++k) {
+                  const Permutation order = randomPermutation(n, rng);
+                  ++orders;
+                  const ReconfigurationProgram program =
+                      decodeOrder(*context, order, options);
+                  const ValidationResult verdict =
+                      validateProgram(*context, program);
+                  ASSERT_EQ(kernel.cost(order), program.length())
+                      << "repro: |S| " << states << ", |I| " << inputs
+                      << ", |Td| " << deltas << ", new states " << newStates
+                      << ", seed " << instanceSeed << ", temp input index "
+                      << temp << ", rule " << static_cast<int>(rule)
+                      << ", order #" << k;
+                  ASSERT_TRUE(verdict.valid)
+                      << verdict.reason << "; repro: |S| " << states
+                      << ", |I| " << inputs << ", |Td| " << deltas
+                      << ", new states " << newStates << ", seed "
+                      << instanceSeed << ", temp input index " << temp
+                      << ", rule " << static_cast<int>(rule) << ", order #"
+                      << k;
+                }
               }
             }
           }
@@ -201,60 +223,102 @@ TEST(PaperCostEvaluator, EqualsDecodedLengthOnRandomOrders) {
       }
     }
   }
-  // The grid must reach every case the evaluator special-cases.
+  // The grid must reach every case the walk special-cases.
   EXPECT_GT(newStateCases, 0);
   EXPECT_GT(explicitTempCases, 0);
   EXPECT_GT(tempDeltaCases, 0);
   EXPECT_GT(emptyCases, 0);
   EXPECT_GT(singleCases, 0);
   EXPECT_GT(wideCases, 0);
-  EXPECT_GT(orders, 10000);
+  EXPECT_GT(orders, 30000);
 }
 
 TEST(PaperCostEvaluator, SwitchingEvaluatorsOnOneThreadKeepsEachExact) {
-  // Each thread keeps one scratch table; interleaving two evaluators must
+  // Each thread keeps one scratch table; interleaving two kernels must
   // re-seed it, never score one instance on the other's table.
   const MigrationContext a = makeInstance({8, 2, 9, 1}, 11);
   const MigrationContext b = makeInstance({6, 3, 7, 0}, 12);
-  const PaperCostEvaluator ea(a), eb(b);
-  Rng rng(3);
-  for (int k = 0; k < 50; ++k) {
-    const Permutation pa = randomPermutation(ea.deltaCount(), rng);
-    const Permutation pb = randomPermutation(eb.deltaCount(), rng);
-    EXPECT_EQ(ea.cost(pa), decodeOrder(a, pa).length());
-    EXPECT_EQ(eb.cost(pb), decodeOrder(b, pb).length());
+  for (const DecodeRule rule : kEveryRule) {
+    DecodeOptions options;
+    options.rule = rule;
+    const ConnectionKernel ka(a, options), kb(b, options);
+    Rng rng(3);
+    for (int k = 0; k < 50; ++k) {
+      const Permutation pa = randomPermutation(ka.deltaCount(), rng);
+      const Permutation pb = randomPermutation(kb.deltaCount(), rng);
+      EXPECT_EQ(ka.cost(pa), decodeOrder(a, pa, options).length());
+      EXPECT_EQ(kb.cost(pb), decodeOrder(b, pb, options).length());
+    }
   }
 }
 
 TEST(PaperCostEvaluator, KeepsTheDecoderChecks) {
   const MigrationContext context = makeInstance({6, 2, 5, 0}, 21);
-  const PaperCostEvaluator evaluator(context);
-  const int n = evaluator.deltaCount();
-  ASSERT_GE(n, 3);
-  Permutation order(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) order[static_cast<std::size_t>(k)] = k;
-  Permutation shorter(order.begin(), order.end() - 1);
-  Permutation repeated = order;
-  repeated[1] = repeated[0];
-  Permutation outOfRange = order;
-  outOfRange[2] = n;
-  for (const Permutation& bad : {shorter, repeated, outOfRange}) {
-    EXPECT_THROW(evaluator.cost(bad), ContractError);
-    EXPECT_THROW(decodeOrder(context, bad), ContractError);
+  for (const DecodeRule rule : kEveryRule) {
+    DecodeOptions options;
+    options.rule = rule;
+    const ConnectionKernel kernel(context, options);
+    const int n = kernel.deltaCount();
+    ASSERT_GE(n, 3);
+    Permutation order(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) order[static_cast<std::size_t>(k)] = k;
+    Permutation shorter(order.begin(), order.end() - 1);
+    Permutation repeated = order;
+    repeated[1] = repeated[0];
+    Permutation outOfRange = order;
+    outOfRange[2] = n;
+    for (const Permutation& bad : {shorter, repeated, outOfRange}) {
+      EXPECT_THROW(kernel.cost(bad), ContractError);
+      EXPECT_THROW(kernel.decode(bad), ContractError);
+      EXPECT_THROW(decodeOrder(context, bad, options), ContractError);
+    }
+    // A rejected order leaves the scratch table intact.
+    EXPECT_EQ(kernel.cost(order), decodeOrder(context, order, options).length());
+
+    CancelToken expired;
+    expired.cancel();
+    options.cancel = &expired;
+    const ConnectionKernel cancelled(context, options);
+    EXPECT_THROW(cancelled.cost(order), CancelledError);
+    EXPECT_THROW(cancelled.decode(order), CancelledError);
+    EXPECT_THROW(cancelled.greedy(), CancelledError);
   }
-  // A rejected order leaves the scratch table intact.
-  EXPECT_EQ(evaluator.cost(order), decodeOrder(context, order).length());
+}
 
-  DecodeOptions bestOfThree;
-  bestOfThree.rule = DecodeRule::kBestOfThree;
-  EXPECT_THROW(PaperCostEvaluator(context, bestOfThree), ContractError);
-
-  CancelToken expired;
-  expired.cancel();
-  DecodeOptions cancellable;
-  cancellable.cancel = &expired;
-  const PaperCostEvaluator cancelled(context, cancellable);
-  EXPECT_THROW(cancelled.cost(order), CancelledError);
+// Pooled threads share one kernel per rule (and switch between two kernels)
+// while each walks its own scratch table: every cost and every program must
+// equal the serial one.
+TEST(ConnectionKernel, PooledCostAndDecodeMatchSerialForEveryRule) {
+  const MigrationContext a = makeInstance({12, 2, 10, 2}, 31);
+  const MigrationContext b = makeInstance({9, 3, 11, 1}, 32);
+  ThreadPool pool(4);
+  for (const DecodeRule rule : kEveryRule) {
+    DecodeOptions options;
+    options.rule = rule;
+    const ConnectionKernel ka(a, options), kb(b, options);
+    constexpr std::size_t kOrders = 400;
+    std::vector<Permutation> orders;
+    Rng rng(7);
+    for (std::size_t k = 0; k < kOrders; ++k)
+      orders.push_back(randomPermutation(
+          (k % 2 == 0 ? ka : kb).deltaCount(), rng));
+    std::vector<int> costs(kOrders);
+    std::vector<ReconfigurationProgram> programs(kOrders);
+    pool.parallelFor(kOrders, [&](std::size_t k) {
+      const ConnectionKernel& kernel = k % 2 == 0 ? ka : kb;
+      costs[k] = kernel.cost(orders[k]);
+      programs[k] = kernel.decode(orders[k]);
+    });
+    for (std::size_t k = 0; k < kOrders; ++k) {
+      const MigrationContext& context = k % 2 == 0 ? a : b;
+      const ReconfigurationProgram serial =
+          decodeOrder(context, orders[k], options);
+      EXPECT_EQ(costs[k], serial.length())
+          << "rule " << static_cast<int>(rule) << ", order #" << k;
+      EXPECT_EQ(programs[k].steps, serial.steps)
+          << "rule " << static_cast<int>(rule) << ", order #" << k;
+    }
+  }
 }
 
 TEST(MutatorEdgeCases, ZeroDeltasIsIdentityMigration) {

@@ -237,12 +237,12 @@ TEST(Metrics, SnapshotSkipsZeroEntriesAndSortsByName) {
 
 TEST(Metrics, MarkdownRendersCountersTimersAndHitRate) {
   metrics::resetAll();
-  metrics::counter(metrics::kBfsCacheHits).add(3);
-  metrics::counter(metrics::kBfsCacheMisses).add(1);
+  metrics::counter(metrics::kServicePlanCacheHits).add(3);
+  metrics::counter(metrics::kServicePlanCacheMisses).add(1);
   metrics::timer("test.render").record(std::chrono::milliseconds(2));
   const std::string md = metrics::toMarkdown(metrics::snapshot());
-  EXPECT_NE(md.find(metrics::kBfsCacheHits), std::string::npos);
-  EXPECT_NE(md.find("BFS cache hit rate: 75.0%"), std::string::npos);
+  EXPECT_NE(md.find(metrics::kServicePlanCacheHits), std::string::npos);
+  EXPECT_NE(md.find("Plan cache hit rate: 75.0%"), std::string::npos);
   EXPECT_NE(md.find("test.render"), std::string::npos);
   EXPECT_EQ(metrics::toMarkdown(metrics::Snapshot{}), "");
   metrics::resetAll();
