@@ -28,10 +28,10 @@
 // The binary exits 1 when any cell breaks its contract.  `--smoke`
 // shrinks the grid for the CI regression gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -52,19 +52,6 @@ namespace rfsm::bench {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const std::string& tag) {
-  return "/tmp/rfsm-a18-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
 
 std::uint64_t counterValue(const char* name) {
   return metrics::counter(name).value();
@@ -96,32 +83,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
 
 struct NetCell {
   std::uint64_t seed = 0;
@@ -275,38 +236,6 @@ service::MutationRecord scheduledMut(std::uint64_t k, std::uint64_t total) {
   return rec;
 }
 
-struct Daemon {
-  pid_t pid = -1;
-
-  bool start(const std::string& socketPath, const std::string& stateDir,
-             const std::string& chaosSpec) {
-    pid = fork();
-    if (pid == -1) return false;
-    if (pid == 0) {
-      const std::string binary = rfsmdPath();
-      ::execl(binary.c_str(), binary.c_str(), "--socket", socketPath.c_str(),
-              "--state-dir", stateDir.c_str(), "--workers", "1",
-              "--snapshot-every", "2", "--chaos", chaosSpec.c_str(),
-              static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::access(socketPath.c_str(), F_OK) == 0) return true;
-      std::this_thread::sleep_for(25ms);
-    }
-    return false;
-  }
-
-  void sigkill() {
-    if (pid <= 0) return;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    pid = -1;
-  }
-
-  ~Daemon() { sigkill(); }
-};
-
 /// The daemon's service.chaos_disk_faults value, scraped over the stats
 /// frame (0 when the scrape fails — the caller treats that as undetected).
 std::uint64_t scrapeDiskFaults(const std::string& socketPath) {
@@ -436,7 +365,7 @@ KillCell runKillCell(bool smoke) {
   streamOptions.retryFor = 15s;
 
   Daemon daemon;
-  if (!daemon.start(socketPath, stateDir, chaosSpec)) {
+  if (!daemon.start(socketPath, stateDir, {"--chaos", chaosSpec})) {
     cell.detail = "rfsmd did not start";
     return cell;
   }
@@ -452,10 +381,10 @@ KillCell runKillCell(bool smoke) {
     cell.detail = error.what();
     return cell;
   }
-  daemon.sigkill();
+  daemon.stop(SIGKILL);
 
   Daemon restarted;
-  if (!restarted.start(socketPath, stateDir, chaosSpec)) {
+  if (!restarted.start(socketPath, stateDir, {"--chaos", chaosSpec})) {
     cell.detail = "rfsmd did not restart";
     return cell;
   }

@@ -14,6 +14,7 @@
 // real wire protocol but tamper, stall, or flap on purpose.  `--smoke`
 // shrinks the batch for the CI regression gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <unistd.h>
 
@@ -33,19 +34,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-a14-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
-
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;
   spec.stateCount = 10;
@@ -58,32 +46,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
 
 /// An in-bench endpoint speaking the real plan protocol with scripted
 /// misbehaviour.  Honest replies are planRange's bytes — bit-identical to

@@ -22,9 +22,9 @@
 // lost under quorum, or the deposed primary is not fenced.  `--smoke`
 // shrinks the grid for the CI regression gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -46,15 +46,6 @@ using service::PlanOutcome;
 using service::SessionConfig;
 using service::SessionEngine;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 SessionConfig sessionConfig() {
   SessionConfig config;
@@ -100,50 +91,6 @@ MutationRecord recordFor(std::uint64_t seq) {
   rec.mutationSeed = 0xA19000 + seq;
   return rec;
 }
-
-/// An rfsmd with arbitrary extra flags (--replica, --repl-ack, --chaos).
-struct Daemon {
-  pid_t pid = -1;
-
-  bool start(const std::string& socketPath, const std::string& stateDir,
-             const std::vector<std::string>& extra = {}) {
-    pid = fork();
-    if (pid == -1) return false;
-    if (pid == 0) {
-      const std::string binary = rfsmdPath();
-      std::vector<std::string> args = {binary,
-                                       "--socket",
-                                       socketPath,
-                                       "--state-dir",
-                                       stateDir,
-                                       "--workers",
-                                       "1",
-                                       "--snapshot-every",
-                                       "2"};
-      args.insert(args.end(), extra.begin(), extra.end());
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& arg : args) argv.push_back(arg.data());
-      argv.push_back(nullptr);
-      ::execv(binary.c_str(), argv.data());
-      _exit(127);
-    }
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::access(socketPath.c_str(), F_OK) == 0) return true;
-      std::this_thread::sleep_for(25ms);
-    }
-    return false;
-  }
-
-  void sigkill() {
-    if (pid <= 0) return;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    pid = -1;
-  }
-
-  ~Daemon() { sigkill(); }
-};
 
 // --- Failover grid --------------------------------------------------------
 
@@ -244,7 +191,7 @@ FailoverCell runFailoverCell(const std::string& ack, std::uint64_t killAfter,
       }
       if (!record(k, response.program)) return cell;
     }
-    primary.sigkill();
+    primary.stop(SIGKILL);
 
     // Post-kill: the stream rotates to the standby; a sequence gap (async
     // loss window) surfaces as kBadSequence and is healed by re-opening
@@ -364,7 +311,7 @@ DeposedCell runDeposedCell() {
           return cell;
         }
     }
-    primary.sigkill();
+    primary.stop(SIGKILL);
 
     // Failover: promote the standby by resuming the stream against it.
     service::SessionStream::Options standbyOnly;

@@ -18,6 +18,7 @@
 // poisoning cell fails, so CI needs no output parsing.  `--smoke` shrinks
 // the batch for the CI gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <unistd.h>
 
@@ -37,19 +38,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-a15-" + std::to_string(getpid()) + "-" + tag + ".sock";
-}
-
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;
   spec.stateCount = 10;
@@ -62,32 +50,6 @@ service::BatchSpec sweepSpec(bool smoke) {
   spec.planner = "greedy";
   return spec;
 }
-
-/// A real planner service on a fresh unix socket, serving until dropped.
-struct RunningServer {
-  std::string path;
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(std::string socketPath)
-      : path(std::move(socketPath)),
-        server(options(path)),
-        thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-
-  static service::ServerOptions options(const std::string& socketPath) {
-    service::ServerOptions options;
-    options.socketPath = socketPath;
-    options.workerBinary = rfsmdPath();
-    options.shardSize = 4;
-    options.pool.workers = 2;
-    return options;
-  }
-};
 
 /// A correct remote replica for the poisoning cell.  It must NOT be an
 /// in-process RunningServer: that would share this process's plan cache and

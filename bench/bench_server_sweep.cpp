@@ -11,6 +11,7 @@
 // (compile-time RFSM_RFSMD_BUILD_PATH, overridable with RFSM_RFSMD).
 // `--smoke` shrinks the grid for the CI regression gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <vector>
 
@@ -21,15 +22,6 @@
 
 namespace rfsm::bench {
 namespace {
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 service::BatchSpec sweepSpec(bool smoke) {
   service::BatchSpec spec;

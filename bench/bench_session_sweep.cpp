@@ -18,9 +18,9 @@
 // The binary exits 1 when recovery is not byte-identical or the fairness
 // bound breaks.  `--smoke` shrinks the grid for the CI regression gate.
 #include "common.hpp"
+#include "rfsmd_harness.hpp"
 
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,15 +44,6 @@ using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
 
 SessionConfig sessionConfig(const std::string& tenant,
                             const std::string& name) {
@@ -165,36 +156,6 @@ RatePoint runRate(double offeredPerSec, std::uint64_t mutations,
 
 // --- Kill / restart / resume cell -----------------------------------------
 
-struct Daemon {
-  pid_t pid = -1;
-
-  bool start(const std::string& socketPath, const std::string& stateDir) {
-    pid = fork();
-    if (pid == -1) return false;
-    if (pid == 0) {
-      const std::string binary = rfsmdPath();
-      ::execl(binary.c_str(), binary.c_str(), "--socket", socketPath.c_str(),
-              "--state-dir", stateDir.c_str(), "--workers", "1",
-              "--snapshot-every", "2", static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::access(socketPath.c_str(), F_OK) == 0) return true;
-      std::this_thread::sleep_for(25ms);
-    }
-    return false;
-  }
-
-  void sigkill() {
-    if (pid <= 0) return;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    pid = -1;
-  }
-
-  ~Daemon() { sigkill(); }
-};
-
 /// The shared mutation schedule: odd seqs defer (compacted into the next
 /// even flush), the final seq always flushes.
 MutationRecord scheduledMut(std::uint64_t k, std::uint64_t total) {
@@ -285,7 +246,7 @@ KillCell runKillCell() {
     cell.detail = error.what();
     return cell;
   }
-  daemon.sigkill();
+  daemon.stop(SIGKILL);
 
   Daemon restarted;
   if (!restarted.start(socketPath, stateDir)) {

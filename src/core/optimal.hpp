@@ -12,6 +12,14 @@
 // strictly contains everything the paper's decoder can express (it can
 // interleave walks and jumps mid-program).
 //
+// The search also starts in S0 with no leading reset, whereas every
+// order-decoding planner opens with one (JSR's step 3 resets "no matter
+// where M currently is", and Thm. 4.2's 3(|Td|+1) counts it).  When
+// S0 = S0' that reset is a no-op, so one cycle of the gap to any decoder is
+// the reset alone: on A2's instances the gap to the exact order optimum is
+// 1.25 / 1.75 / 1.50 cycles at |Td| 3 / 5 / 7, and 0.25 / 0.75 / 0.50
+// without it.
+//
 // Cost: O(2^|Td| * |S_super| * (|Td| + 3)) nodes; practical to |Td| ~ 16.
 #pragma once
 

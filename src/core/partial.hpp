@@ -6,11 +6,15 @@
 // special cases have more structure than the general problem:
 //
 //  * Output-only (F' = F on a common domain): every rewrite keeps the
-//    machine's graph intact, so no temporary transition is ever created and
-//    ordering the deltas is a pure shortest-walk problem on a *fixed*
-//    graph.  For small |Td| the optimal order is computable by Held-Karp
-//    over the static distance matrix — something the general problem does
-//    not admit because rewrites mutate the graph.
+//    machine's graph intact, so no temporary transition is *needed* and,
+//    without one, ordering the deltas is a shortest-walk problem on a
+//    *fixed* graph, which Held-Karp solves over the static distance matrix
+//    for small |Td|.  That order is optimal only within its family:
+//    programs that open with a reset and use no temporary transition.  A
+//    temporary transition can still jump where a walk is long (planJsr and
+//    planGreedy beat it on some instances), and planOptimalSearch, which
+//    starts in S0 without the reset, is shorter on every instance of the
+//    output-only property sweep.
 //  * Transition-only (G' = G wherever both are defined): no special
 //    structure is gained (the graph still mutates); provided for symmetry
 //    and classification.
@@ -40,12 +44,14 @@ DeltaClassification classifyDeltas(const MigrationContext& context);
 
 /// True when the migration only changes the output function: alphabets and
 /// state sets coincide and every delta is output-only.  Such migrations
-/// never need temporary transitions.
+/// never need temporary transitions, though one may shorten the program.
 bool isOutputOnlyMigration(const MigrationContext& context);
 
-/// Optimal delta order for an output-only migration via Held-Karp on the
-/// static distance matrix; exact because the graph is fixed.  Every step is
-/// a Traverse along M's graph or an in-place Rewrite that preserves F.
+/// Shortest program for an output-only migration among those that open
+/// with a reset and use no temporary transition: Held-Karp on the static
+/// distance matrix orders the deltas, connecting each by the cheaper of a
+/// walk or reset-plus-walk.  Every other step is a Traverse along M's graph
+/// or an in-place Rewrite that preserves F.
 /// Requires isOutputOnlyMigration(); throws MigrationError otherwise.
 /// Returns nullopt when |Td| > maxDeltas (Held-Karp is O(2^n n^2)).
 std::optional<ReconfigurationProgram> planOutputOnlyOptimal(

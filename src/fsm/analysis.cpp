@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/scc.hpp"
 #include "graph/shortest_path.hpp"
 
 namespace rfsm {
@@ -40,19 +39,6 @@ std::vector<TotalState> stableTotalStates(const Machine& machine) {
     for (SymbolId i = 0; i < machine.inputCount(); ++i)
       if (machine.isStableTotalState(i, s)) stable.push_back(TotalState{i, s});
   return stable;
-}
-
-std::vector<int> distancesTo(const Machine& machine, SymbolId target) {
-  // BFS on the reversed graph gives distances *to* the target.
-  Digraph reversed(machine.stateCount());
-  for (SymbolId s = 0; s < machine.stateCount(); ++s)
-    for (SymbolId i = 0; i < machine.inputCount(); ++i)
-      reversed.addEdge(machine.next(i, s), s);
-  return bfsFrom(reversed, target).distance;
-}
-
-int sccCount(const Machine& machine) {
-  return stronglyConnectedComponents(machine.transitionGraph()).componentCount;
 }
 
 }  // namespace rfsm

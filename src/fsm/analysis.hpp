@@ -23,11 +23,4 @@ bool isConnectedFromReset(const Machine& machine);
 /// All stable total states (i, s) with F(i, s) = s.
 std::vector<TotalState> stableTotalStates(const Machine& machine);
 
-/// Distance (in transitions) from every state to `target`; kUnreachable when
-/// impossible.  Used by planners to find the cheapest way to a delta source.
-std::vector<int> distancesTo(const Machine& machine, SymbolId target);
-
-/// Number of distinct strongly connected components of the transition graph.
-int sccCount(const Machine& machine);
-
 }  // namespace rfsm

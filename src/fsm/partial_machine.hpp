@@ -6,7 +6,6 @@
 // this form (KISS2 benchmarks routinely leave cells open); this module
 // stores them faithfully, checks containment of behaviours, and lifts them
 // into the completely specified class the migration machinery works on.
-// State reduction for this class lives in fsm/reduce.hpp.
 #pragma once
 
 #include <optional>

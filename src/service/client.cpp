@@ -161,18 +161,6 @@ ClientResult planBatch(const BatchSpec& spec, const ClientOptions& options,
   return result;
 }
 
-std::optional<HandshakeResponse> probeHandshake(const ipc::Endpoint& endpoint,
-                                                std::int64_t timeoutMs) {
-  try {
-    const std::optional<std::string> reply = exchangeEndpoint(
-        endpoint, encodeHandshakeRequest(HandshakeRequest{}), timeoutMs);
-    if (!reply.has_value()) return std::nullopt;
-    return decodeHandshakeResponse(*reply);
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
-
 std::optional<HealthResponse> probeHealth(const ipc::Endpoint& endpoint,
                                           std::int64_t timeoutMs) {
   try {

@@ -82,11 +82,4 @@ std::optional<HealthResponse> probeHealth(const std::string& socketPath,
 std::optional<HealthResponse> probeHealth(const ipc::Endpoint& endpoint,
                                           std::int64_t timeoutMs = 5000);
 
-/// Version/feature handshake probe; nullopt when the server cannot be
-/// reached, does not answer, or answers garbage.  A non-accepted response
-/// (version mismatch) comes back as a value — the caller decides whether
-/// to degrade or refuse.
-std::optional<HandshakeResponse> probeHandshake(const ipc::Endpoint& endpoint,
-                                                std::int64_t timeoutMs = 5000);
-
 }  // namespace rfsm::service

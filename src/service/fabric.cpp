@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "service/plan_cache.hpp"
+#include "util/backoff.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/supervisor.hpp"

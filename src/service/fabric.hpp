@@ -63,7 +63,7 @@ struct FabricOptions {
   int quorum = 1;
   /// Attempts per shard across endpoints (first try + reroutes).
   int maxAttempts = 3;
-  /// Reroute backoff schedule (util/supervisor.hpp's backoffDelay).
+  /// Reroute backoff schedule (util/backoff.hpp's backoffDelay).
   std::chrono::milliseconds backoffBase{25};
   std::chrono::milliseconds backoffCap{1000};
   std::uint64_t jitterSeed = 1;

@@ -5,10 +5,10 @@
 #include <mutex>
 #include <thread>
 
+#include "util/backoff.hpp"
 #include "util/breaker.hpp"
 #include "util/chaos.hpp"
 #include "util/deadline.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 
@@ -26,20 +26,6 @@ const char* toString(ReplAck ack) {
     case ReplAck::kAsync: return "async";
   }
   return "quorum";
-}
-
-std::chrono::milliseconds backoffDelay(std::uint32_t attempt,
-                                       std::string_view salt) {
-  std::int64_t delayMs = 20;
-  for (std::uint32_t k = 0; k < attempt && delayMs < kReconnectBackoffCap.count();
-       ++k)
-    delayMs *= 2;
-  delayMs = std::min<std::int64_t>(delayMs, kReconnectBackoffCap.count());
-  const std::int64_t jitterSpan = delayMs / 4 + 1;
-  const std::int64_t jitterMs = static_cast<std::int64_t>(
-      fnv1a64(std::uint64_t{attempt}, fnv1a64(salt)) %
-      static_cast<std::uint64_t>(jitterSpan));
-  return std::chrono::milliseconds(delayMs + jitterMs);
 }
 
 /// One standby endpoint: a serialized connection, a health breaker (stats
@@ -105,7 +91,7 @@ std::string Replicator::exchange(Link& link, const std::string& payload) {
   // repl-light/repl-storm profiles disturb exactly this traffic.
   chaos::ScopedReplLink replTag;
   const auto deadline = std::chrono::steady_clock::now() + options_.retryFor;
-  std::uint32_t attempt = 0;
+  int attempt = 0;
   std::string lastError = "not connected";
   for (;;) {
     {
@@ -140,7 +126,10 @@ std::string Replicator::exchange(Link& link, const std::string& payload) {
     }
     // Resending is safe: standbys answer duplicate sequence numbers
     // idempotently, exactly like the client-facing session path.
-    const auto delay = backoffDelay(attempt++, link.endpoint.describe());
+    ++attempt;
+    const auto delay =
+        backoffDelay(attempt, kReconnectBackoffBase, kReconnectBackoffCap,
+                     saltedJitter(link.endpoint.describe(), attempt));
     if (std::chrono::steady_clock::now() + delay >= deadline)
       throw ipc::IpcError("standby " + link.endpoint.describe() +
                           " unreachable: " + lastError);
@@ -269,8 +258,11 @@ void Replicator::workerLoop(Link& link) {
       std::unique_lock lock(link.queueMutex);
       if (link.stopping) return;
       link.queue.push_front(item);
-      link.queueCv.wait_for(lock, backoffDelay(3, link.endpoint.describe()),
-                            [&] { return link.stopping; });
+      link.queueCv.wait_for(
+          lock,
+          backoffDelay(4, kReconnectBackoffBase, kReconnectBackoffCap,
+                       saltedJitter(link.endpoint.describe(), 4)),
+          [&] { return link.stopping; });
       if (link.stopping) return;
     }
   }

@@ -36,7 +36,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "service/protocol.hpp"
@@ -51,18 +50,11 @@ enum class ReplAck { kQuorum, kAsync };
 ReplAck replAckFromString(const std::string& name);
 const char* toString(ReplAck ack);
 
-/// Upper bound of the reconnect backoff ladder shared by the replicator
-/// and SessionStream (pre-jitter).
+/// Reconnect backoff of the replicator and SessionStream: backoffDelay
+/// (util/backoff.hpp) doubling from kReconnectBackoffBase up to
+/// kReconnectBackoffCap, with saltedJitter of the endpoint's name.
+inline constexpr std::chrono::milliseconds kReconnectBackoffBase{20};
 inline constexpr std::chrono::milliseconds kReconnectBackoffCap{1000};
-
-/// The retry delay before reconnect attempt `attempt` (0-based): a doubling
-/// ladder from 20ms capped at kReconnectBackoffCap, plus a deterministic
-/// jitter in [0, delay/4] derived from (salt, attempt) — so a fleet of
-/// clients reconnecting after a daemon restart fans out instead of
-/// thundering back in lockstep, yet any single (salt, attempt) pair always
-/// sleeps the same amount (no wall clocks, no global RNG).
-std::chrono::milliseconds backoffDelay(std::uint32_t attempt,
-                                       std::string_view salt);
 
 struct ReplicatorOptions {
   std::vector<ipc::Endpoint> replicas;

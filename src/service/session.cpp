@@ -14,6 +14,7 @@
 #include "fsm/serialize.hpp"
 #include "gen/generator.hpp"
 #include "gen/mutator.hpp"
+#include "util/backoff.hpp"
 #include "util/fsio.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -1598,7 +1599,7 @@ void SessionStream::rotate() {
 
 std::string SessionStream::exchange(const std::string& payload) {
   const auto deadline = std::chrono::steady_clock::now() + options_.retryFor;
-  std::uint32_t attempt = 0;
+  int attempt = 0;
   std::string lastError = "not connected";
   for (;;) {
     const ipc::Endpoint& endpoint = endpoints_[current_];
@@ -1638,7 +1639,10 @@ std::string SessionStream::exchange(const std::string& payload) {
     breaker.recordFailure();
     ++reconnects_;
     rotate();
-    const auto delay = backoffDelay(attempt++, endpoint.describe());
+    ++attempt;
+    const auto delay =
+        backoffDelay(attempt, kReconnectBackoffBase, kReconnectBackoffCap,
+                     saltedJitter(endpoint.describe(), attempt));
     if (std::chrono::steady_clock::now() + delay >= deadline)
       throw ipc::IpcError("session endpoint " + endpoint.describe() +
                           " unreachable: " + lastError);

@@ -51,43 +51,6 @@ FaultScenario FaultInjector::draw(const FaultModel& model,
   return scenario;
 }
 
-std::optional<FaultModel> modelByName(const std::string& name) {
-  FaultModel model;
-  if (name == "clean") {
-    model.abortProbability = 0.0;
-    model.flipProbability = 0.0;
-    model.maxFlips = 0;
-    return model;
-  }
-  if (name == "default") return model;
-  if (name == "flip-storm") {
-    model.abortProbability = 0.0;
-    model.flipProbability = 1.0;
-    model.maxFlips = 4;
-    return model;
-  }
-  if (name == "abort-heavy") {
-    model.abortProbability = 0.9;
-    model.flipProbability = 0.1;
-    model.maxFlips = 1;
-    return model;
-  }
-  if (name == "stuck-at") {
-    model.abortProbability = 0.1;
-    model.flipProbability = 1.0;
-    model.maxFlips = 2;
-    model.stickyProbability = 0.9;
-    return model;
-  }
-  return std::nullopt;
-}
-
-const std::vector<std::string>& modelNames() {
-  static const std::vector<std::string> names = {
-      "clean", "default", "flip-storm", "abort-heavy", "stuck-at"};
-  return names;
-}
-
 std::optional<ServiceScenario> serviceScenarioByName(const std::string& name) {
   ServiceScenario scenario;
   scenario.name = name;

@@ -12,12 +12,14 @@
 // geometry) triple reproduces a scenario exactly — the contract the fault
 // sweep bench and the CI seed matrix rely on.
 //
-// This layer disturbs the *tables the planner reasons about*.  Its sibling,
+// This layer disturbs the *tables the planner reasons about*; `rfsmc
+// inject` draws its scenario from a FaultModel built from `--flips` and
+// `--abort-step`, and A12 (bench_fault_sweep) sweeps its own table of rates.
+// The one named family here is ServiceScenario below: `rfsmd --fault NAME`
+// makes the planner service fail its own worker.  Its sibling,
 // util/chaos.hpp, disturbs the *infrastructure underneath the service*
-// (disk syscalls in util/fsio, wire frames in util/ipc) with the same
-// named-preset + single-seed replayability convention: `--fault` names a
-// table-fault model, `--chaos <seed>:<profile>` names an
-// infrastructure-fault schedule, and the two compose freely.
+// (disk syscalls in util/fsio, wire frames in util/ipc) from one
+// `--chaos <seed>:<profile>` spec.
 #pragma once
 
 #include <cstdint>
@@ -93,25 +95,14 @@ class FaultInjector {
   Rng rng_;
 };
 
-// --- Named scenarios -----------------------------------------------------
+// --- Named service scenarios ----------------------------------------------
 //
 // Every scenario the CI smoke jobs and the service benches rely on is
-// addressable by name, so a failure seen in CI reproduces from the CLI
-// with the same flag (`rfsmd --fault NAME`, `rfsmc inject --scenario
-// NAME`) instead of a hand-assembled pile of probabilities.
-
-/// FaultInjector model presets (table-level faults), by name:
-///   clean        no injected faults
-///   default      the bench_fault_sweep default rates
-///   flip-storm   every flip slot fires, no power loss
-///   abort-heavy  power loss on most runs, few flips
-///   stuck-at     sticky (stuck-at) flips dominate
-/// Returns nullopt for unknown names.
-std::optional<FaultModel> modelByName(const std::string& name);
-const std::vector<std::string>& modelNames();
+// addressable by name, so a failure seen in CI reproduces with the same
+// `rfsmd --fault NAME` flag instead of a race.
 
 /// Process-level fault scenarios of the planner service (what the
-/// supervisor or worker does to itself), by name:
+/// supervisor or worker does to itself), by name.
 /// All scenarios are armed on the supervisor's dispatch hook and fire
 /// exactly once, on dispatch 0, so the retried shard lands on an
 /// unmolested worker:

@@ -1,5 +1,5 @@
 // 64-bit FNV-1a: the one copy behind the journal commit chain, the session
-// WAL/snapshot trailers, the replication backoff jitter and the chaos
+// WAL/snapshot trailers, the reconnect backoff jitter and the chaos
 // journal digest.
 #pragma once
 

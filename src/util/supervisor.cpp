@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "util/backoff.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -35,21 +36,6 @@ const char* toString(WorkResult::Status status) {
     case WorkResult::Status::kUnavailable: return "UNAVAILABLE";
   }
   return "UNKNOWN";
-}
-
-std::chrono::milliseconds backoffDelay(int attempt,
-                                       std::chrono::milliseconds base,
-                                       std::chrono::milliseconds cap,
-                                       double jitter01) {
-  RFSM_CHECK(attempt >= 1, "backoff attempts are 1-based");
-  // Saturating shift: attempt is small in practice, but a caller-supplied
-  // maxAttempts must not overflow the multiplier.
-  const int shift = std::min(attempt - 1, 20);
-  auto delay = base * (1 << shift);
-  if (delay > cap) delay = cap;
-  delay += std::chrono::milliseconds(
-      static_cast<long>(jitter01 * static_cast<double>(base.count())));
-  return std::min(delay, cap + base);
 }
 
 struct Supervisor::Impl {

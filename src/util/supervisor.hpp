@@ -46,7 +46,8 @@ struct SupervisorOptions {
   std::size_t queueCapacity = 64;
   /// Attempts per item (first try + retries) before kFailed.
   int maxAttempts = 3;
-  /// Exponential backoff: base * 2^(attempt-1) + jitter, capped.
+  /// Retry backoff (util/backoff.hpp): base * 2^(attempt-1), capped, plus
+  /// up to one base of jitter.
   std::chrono::milliseconds backoffBase{25};
   std::chrono::milliseconds backoffCap{1000};
   /// Crashes tolerated inside restartWindow before the pool is unhealthy.
@@ -91,13 +92,6 @@ struct WorkResult {
 };
 
 const char* toString(WorkResult::Status status);
-
-/// Pure backoff schedule (exposed for tests): base * 2^(attempt-1),
-/// capped, plus jitter01 * base.  `attempt` is 1-based.
-std::chrono::milliseconds backoffDelay(int attempt,
-                                       std::chrono::milliseconds base,
-                                       std::chrono::milliseconds cap,
-                                       double jitter01);
 
 class Supervisor {
  public:

@@ -109,6 +109,11 @@ TEST_P(OptimalPropertyTest, LowerBoundsAllHeuristics) {
             planEvolutionary(context, config, eaRng).program.length());
   if (const auto permutationExact = planExact(context, 7)) {
     EXPECT_LE(optimal->length(), permutationExact->length());
+    // planExact opens with a reset, which is a no-op when S0 = S0': the
+    // search, starting in S0, never pays that cycle.
+    if (context.sourceReset() == context.targetReset()) {
+      EXPECT_LE(optimal->length(), permutationExact->length() - 1);
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 // Tests for partial reconfiguration: delta classification and the
-// Held-Karp-optimal output-only planner.
+// output-only planner, whose Held-Karp order is optimal among programs that
+// open with a reset and use no temporary transition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/apply.hpp"
 #include "core/bounds.hpp"
+#include "core/connection.hpp"
 #include "core/jsr.hpp"
 #include "core/partial.hpp"
 #include "core/planners.hpp"
@@ -156,10 +158,9 @@ TEST(OutputOnly, ZeroDeltasYieldsResetOnly) {
 }
 
 /// Property sweep: output-only plans validate and never use temporaries.
-class OutputOnlyPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 503 + 7);
+/// The output-only sweep's instance for `param` (0..14).
+MigrationContext outputOnlySweepInstance(int param) {
+  Rng rng(static_cast<std::uint64_t>(param) * 503 + 7);
   RandomMachineSpec spec;
   spec.stateCount = 4 + static_cast<int>(rng.below(10));
   spec.inputCount = 1 + static_cast<int>(rng.below(3));
@@ -169,7 +170,15 @@ TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
   const int flips = 1 + static_cast<int>(rng.below(
       static_cast<std::uint64_t>(std::min(cells, 10))));
   const Machine target = flipOutputs(source, flips, rng);
-  const MigrationContext context(source, target);
+  return MigrationContext(source, target);
+}
+
+constexpr int kOutputOnlySweepSize = 15;
+
+class OutputOnlyPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
+  const MigrationContext context = outputOnlySweepInstance(GetParam());
   ASSERT_TRUE(isOutputOnlyMigration(context));
 
   if (const auto optimal = planOutputOnlyOptimal(context)) {
@@ -180,7 +189,57 @@ TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OutputOnlyPropertyTest,
-                         ::testing::Range(0, 15));
+                         ::testing::Range(0, kOutputOnlySweepSize));
+
+/// The claim the planner makes: among programs that open with a reset and
+/// use no temporary transition, its order is the shortest.  On every sweep
+/// instance with |Td| <= 7, each of the |Td|! orders is costed here without
+/// the planner: the leading reset, each connection by the cheaper of a walk
+/// or reset-plus-walk, one rewrite per delta, and a closing reset unless
+/// the last delta lands in S0'.
+TEST(OutputOnly, HeldKarpMatchesTheBestOfEveryOrder) {
+  int checked = 0;
+  for (int param = 0; param < kOutputOnlySweepSize; ++param) {
+    const MigrationContext context = outputOnlySweepInstance(param);
+    const std::vector<Transition>& deltas = context.deltaTransitions();
+    const int n = static_cast<int>(deltas.size());
+    if (n > 7) continue;
+    ++checked;
+    const auto planned = planOutputOnlyOptimal(context);
+    ASSERT_TRUE(planned.has_value()) << "sweep instance " << param;
+
+    const ConnectionKernel kernel(context);
+    std::vector<std::vector<int>> dist;
+    for (SymbolId s = 0; s < static_cast<SymbolId>(context.states().size());
+         ++s)
+      dist.push_back(kernel.bfs(s).dist);
+    const SymbolId s0 = context.targetReset();
+    const int unreachable = 1 << 20;
+    auto walk = [&](SymbolId from, SymbolId to) {
+      const int d =
+          dist[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
+      return d < 0 ? unreachable : d;
+    };
+
+    std::vector<int> order(static_cast<std::size_t>(n));
+    for (int k = 0; k < n; ++k) order[static_cast<std::size_t>(k)] = k;
+    int best = unreachable;
+    do {
+      int length = 1;  // the leading reset
+      SymbolId state = s0;
+      for (const int index : order) {
+        const Transition& td = deltas[static_cast<std::size_t>(index)];
+        length += std::min(walk(state, td.from), 1 + walk(s0, td.from)) + 1;
+        state = td.to;
+      }
+      if (state != s0) ++length;  // the closing reset
+      best = std::min(best, length);
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(planned->length(), best)
+        << "sweep instance " << param << ", |Td| = " << n;
+  }
+  EXPECT_GT(checked, 0);
+}
 
 }  // namespace
 }  // namespace rfsm

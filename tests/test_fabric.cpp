@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,24 +24,12 @@
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
 
+#include "rfsmd_harness.hpp"
+
 namespace rfsm {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-fabric-" + std::to_string(getpid()) + "-" + tag +
-         ".sock";
-}
 
 service::BatchSpec smallSpec() {
   service::BatchSpec spec;
@@ -55,28 +42,6 @@ service::BatchSpec smallSpec() {
   spec.planner = "greedy";
   return spec;
 }
-
-service::ServerOptions serverOptions(const std::string& socketPath) {
-  service::ServerOptions options;
-  options.socketPath = socketPath;
-  options.workerBinary = rfsmdPath();
-  options.shardSize = 4;
-  options.pool.workers = 2;
-  return options;
-}
-
-struct RunningServer {
-  service::Server server;
-  CancelToken stop;
-  std::thread thread;
-
-  explicit RunningServer(service::ServerOptions options)
-      : server(std::move(options)), thread([this] { server.run(&stop); }) {}
-  ~RunningServer() {
-    stop.cancel();
-    thread.join();
-  }
-};
 
 /// An in-test endpoint speaking the real plan protocol, with scripted
 /// misbehaviour.  Honest replies are planRange's bytes — bit-identical to

@@ -218,19 +218,6 @@ TEST(Analysis, StableTotalStatesList) {
   EXPECT_EQ(stable.size(), 2u);
 }
 
-TEST(Analysis, DistancesTo) {
-  const Machine m = counterMachine(6);
-  const auto dist = distancesTo(m, m.states().at("C3"));
-  // From C0, three ups (or three downs) reach C3.
-  EXPECT_EQ(dist[static_cast<std::size_t>(m.states().at("C0"))], 3);
-  EXPECT_EQ(dist[static_cast<std::size_t>(m.states().at("C2"))], 1);
-  EXPECT_EQ(dist[static_cast<std::size_t>(m.states().at("C3"))], 0);
-}
-
-TEST(Analysis, SccCountOnCounter) {
-  EXPECT_EQ(sccCount(counterMachine(4)), 1);
-}
-
 TEST(Equivalence, IdenticalMachinesEquivalent) {
   EXPECT_TRUE(areEquivalent(onesDetector(), onesDetector()));
 }

@@ -1,21 +1,16 @@
 // Tests for incompletely specified machines: specification bookkeeping,
-// completion, the containment relation, and state reduction with closure.
+// completion and the containment relation.
 #include <gtest/gtest.h>
 
 #include "fsm/builder.hpp"
-#include "fsm/equivalence.hpp"
-#include "fsm/minimize.hpp"
 #include "fsm/partial_machine.hpp"
-#include "fsm/reduce.hpp"
 #include "gen/families.hpp"
-#include "gen/generator.hpp"
 #include "util/rng.hpp"
 
 namespace rfsm {
 namespace {
 
-/// A small 4-state ISFSM that reduces: states B and C are compatible (their
-/// specifications never conflict), A and D are not.
+/// A small 4-state ISFSM with open next states and don't-care outputs.
 PartialMachine sampleSpec() {
   SymbolTable inputs({"0", "1"});
   SymbolTable outputs({"x", "y"});
@@ -83,118 +78,6 @@ TEST(PartialMachine, ContainmentDetectsViolations) {
   EXPECT_FALSE(implementsSpecification(b.build(), spec));
 }
 
-TEST(Compatibility, MatrixSeparatesConflicts) {
-  const PartialMachine spec = sampleSpec();
-  const auto compatible = compatibilityMatrix(spec);
-  // B emits y at input 0, A emits x there -> incompatible.
-  EXPECT_FALSE(compatible[0][1]);
-  // B and C never conflict.
-  EXPECT_TRUE(compatible[1][2]);
-  // Diagonal is compatible, matrix symmetric.
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(compatible[s][s]);
-    for (std::size_t t = 0; t < 4; ++t)
-      EXPECT_EQ(compatible[s][t], compatible[t][s]);
-  }
-}
-
-TEST(Compatibility, SuccessorConflictPropagates) {
-  // P -0-> A, Q -0-> B where A/B have an output conflict; P/Q have none
-  // directly but become incompatible through their successors.
-  SymbolTable inputs({"0"});
-  SymbolTable outputs({"x", "y"});
-  SymbolTable states({"P", "Q", "A", "B"});
-  PartialMachine spec("prop", inputs, outputs, states, 0);
-  spec.specify(0, 0, 2, kNoSymbol);  // P -> A
-  spec.specify(0, 1, 3, kNoSymbol);  // Q -> B
-  spec.specify(0, 2, 2, 0);          // A emits x
-  spec.specify(0, 3, 3, 1);          // B emits y
-  const auto compatible = compatibilityMatrix(spec);
-  EXPECT_FALSE(compatible[2][3]);
-  EXPECT_FALSE(compatible[0][1]);
-}
-
-TEST(Reduce, MergesCompatibleStates) {
-  const PartialMachine spec = sampleSpec();
-  const ReductionResult result = reducePartialMachine(spec);
-  EXPECT_LT(result.machine.states().size(), spec.states().size());
-  // B and C fall into one class.
-  EXPECT_EQ(result.classOf[1], result.classOf[2]);
-  // Every completion of the reduced machine implements the original spec.
-  Rng rng(7);
-  for (int round = 0; round < 10; ++round) {
-    const Machine impl = result.machine.completeRandomly(rng);
-    EXPECT_TRUE(implementsSpecification(impl, spec)) << round;
-  }
-}
-
-TEST(Reduce, CompleteMachineReductionMatchesMinimization) {
-  // On completely specified machines, compatibility = equivalence, so the
-  // greedy closure reduction finds exactly the minimization classes.
-  MachineBuilder b("dup");
-  b.addInput("0");
-  b.addInput("1");
-  b.setResetState("S0");
-  b.addTransition("1", "S0", "S1a", "0");
-  b.addTransition("1", "S1a", "S1b", "1");
-  b.addTransition("1", "S1b", "S1a", "1");
-  b.addTransition("0", "S0", "S0", "0");
-  b.addTransition("0", "S1a", "S0", "0");
-  b.addTransition("0", "S1b", "S0", "0");
-  const Machine machine = b.build();
-  const ReductionResult reduced = reducePartialMachine(PartialMachine(machine));
-  const MinimizationResult minimized = minimize(machine);
-  EXPECT_EQ(reduced.machine.states().size(),
-            minimized.machine.stateCount());
-}
-
-/// Property sweep: reduction of complete random machines matches Hopcroft
-/// minimization, and reductions of sparsified machines stay containment-
-/// correct.
-class ReducePropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ReducePropertyTest, CompleteMachinesMatchMinimize) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 137 + 19);
-  RandomMachineSpec spec;
-  spec.stateCount = 2 + static_cast<int>(rng.below(8));
-  spec.inputCount = 1 + static_cast<int>(rng.below(3));
-  spec.outputCount = 1 + static_cast<int>(rng.below(3));
-  const Machine machine = randomMachine(spec, rng);
-  const ReductionResult reduced =
-      reducePartialMachine(PartialMachine(machine));
-  const MinimizationResult minimized = minimize(machine);
-  EXPECT_EQ(reduced.machine.states().size(), minimized.machine.stateCount());
-  // And the reduced machine (complete by construction from a complete
-  // input) is equivalent to the original.
-  ASSERT_TRUE(reduced.machine.isComplete());
-  const Machine lifted = reduced.machine.completeWithSelfLoops(0);
-  EXPECT_TRUE(areEquivalent(lifted, machine));
-}
-
-TEST_P(ReducePropertyTest, SparsifiedMachinesReduceSoundly) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 149 + 23);
-  RandomMachineSpec genSpec;
-  genSpec.stateCount = 3 + static_cast<int>(rng.below(7));
-  genSpec.inputCount = 2;
-  genSpec.outputCount = 2;
-  const Machine machine = randomMachine(genSpec, rng);
-  // Sparsify: drop ~40% of cells from the specification.
-  PartialMachine spec("sparse", machine.inputs(), machine.outputs(),
-                      machine.states(), machine.resetState());
-  for (const Transition& t : machine.transitions()) {
-    if (rng.chance(0.6))
-      spec.specify(t.input, t.from, t.to, t.output);
-    else if (rng.chance(0.5))
-      spec.specify(t.input, t.from, t.to, kNoSymbol);
-  }
-  const ReductionResult reduced = reducePartialMachine(spec);
-  EXPECT_LE(reduced.machine.states().size(), spec.states().size());
-  Rng completeRng(static_cast<std::uint64_t>(GetParam()));
-  const Machine impl = reduced.machine.completeRandomly(completeRng);
-  EXPECT_TRUE(implementsSpecification(impl, spec));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ReducePropertyTest, ::testing::Range(0, 15));
 
 }  // namespace
 }  // namespace rfsm

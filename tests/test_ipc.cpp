@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "service/protocol.hpp"
+#include "util/backoff.hpp"
 #include "util/deadline.hpp"
 #include "util/fault.hpp"
 #include "util/ipc.hpp"
@@ -404,12 +405,6 @@ TEST(FaultScenarios, KillFirstShardTargetsDispatchZero) {
   const auto scenario = fault::serviceScenarioByName("kill-first-shard");
   ASSERT_TRUE(scenario.has_value());
   EXPECT_EQ(scenario->kind, fault::ServiceScenario::Kind::kKillWorker);
-}
-
-TEST(FaultModels, AllNamesResolve) {
-  for (const auto& name : fault::modelNames())
-    EXPECT_TRUE(fault::modelByName(name).has_value()) << name;
-  EXPECT_FALSE(fault::modelByName("does-not-exist").has_value());
 }
 
 // --- Service protocol round-trips ---------------------------------------

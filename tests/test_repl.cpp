@@ -9,24 +9,25 @@
 // The rfsmd binary path comes from RFSM_RFSMD_BUILD_PATH (a CMake
 // target-file definition) or the RFSM_RFSMD environment override.
 #include <gtest/gtest.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "service/protocol.hpp"
 #include "service/repl.hpp"
 #include "service/session.hpp"
+#include "util/backoff.hpp"
 #include "util/chaos.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
 #include "util/metrics.hpp"
+
+#include "rfsmd_harness.hpp"
 
 namespace rfsm {
 namespace {
@@ -42,29 +43,6 @@ using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-/// A throwaway directory, removed with its contents on scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char name[] = "/tmp/rfsm-repl-XXXXXX";
-    path = mkdtemp(name);
-  }
-  ~TempDir() {
-    for (const std::string& file : fsio::listDir(path))
-      ::unlink((path + "/" + file).c_str());
-    ::rmdir(path.c_str());
-  }
-};
 
 SessionConfig smallConfig(const std::string& tenant = "t",
                           const std::string& name = "s") {
@@ -276,25 +254,34 @@ TEST(ReplProtocol, PeekTypeIdentifiesReplFrames) {
 // --- Backoff ladder and ack modes -----------------------------------------
 
 TEST(ReplBackoff, DeterministicDoublingCappedWithBoundedJitter) {
+  // The reconnect schedule of the replicator and SessionStream.
+  const auto base = service::kReconnectBackoffBase;
+  const auto cap = service::kReconnectBackoffCap;
+  const auto delay = [&](int attempt, std::string_view salt) {
+    return backoffDelay(attempt, base, cap, saltedJitter(salt, attempt));
+  };
   // Same (attempt, salt) always sleeps the same amount.
-  for (std::uint32_t attempt = 0; attempt < 12; ++attempt)
-    EXPECT_EQ(service::backoffDelay(attempt, "client-a"),
-              service::backoffDelay(attempt, "client-a"));
-  // The ladder doubles from 20ms and the jitter stays within a quarter of
-  // the pre-jitter delay: attempt k's base is min(20 << k, cap).
-  for (std::uint32_t attempt = 0; attempt < 12; ++attempt) {
-    const auto base = std::min<std::int64_t>(
-        20ll << attempt, service::kReconnectBackoffCap.count());
-    const auto delay = service::backoffDelay(attempt, "client-a").count();
-    EXPECT_GE(delay, base) << "attempt " << attempt;
-    EXPECT_LE(delay, base + base / 4) << "attempt " << attempt;
+  for (int attempt = 1; attempt <= 12; ++attempt)
+    EXPECT_EQ(delay(attempt, "client-a"), delay(attempt, "client-a"));
+  // The ladder doubles from 20ms up to the cap, and the jitter adds less
+  // than one base: attempt k sleeps in [min(20 << (k-1), cap), +20ms).
+  for (int attempt = 1; attempt <= 12; ++attempt) {
+    const auto floor =
+        std::min<std::int64_t>(20ll << (attempt - 1), cap.count());
+    const auto ms = delay(attempt, "client-a").count();
+    EXPECT_GE(ms, floor) << "attempt " << attempt;
+    EXPECT_LT(ms, floor + base.count()) << "attempt " << attempt;
+    const double jitter = saltedJitter("client-a", attempt);
+    EXPECT_GE(jitter, 0.0);
+    EXPECT_LT(jitter, 1.0);
   }
+  // No overflow far past the cap.
+  EXPECT_LT(delay(1000, "client-a"), cap + base);
   // Different salts fan the fleet out: at least one of the first attempts
   // draws a different jitter for a different salt.
   bool spread = false;
-  for (std::uint32_t attempt = 0; attempt < 8 && !spread; ++attempt)
-    spread = service::backoffDelay(attempt, "client-a") !=
-             service::backoffDelay(attempt, "client-b");
+  for (int attempt = 1; attempt <= 8 && !spread; ++attempt)
+    spread = delay(attempt, "client-a") != delay(attempt, "client-b");
   EXPECT_TRUE(spread);
 }
 
@@ -675,41 +662,13 @@ TEST(ReplicatorTransport, ShutdownInterruptsTheRetryLadder) {
 
 // --- Failover against a real standby daemon -------------------------------
 
-struct Daemon {
-  pid_t pid = -1;
-
-  void start(const std::string& socketPath, const std::string& stateDir) {
-    pid = fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-      const std::string binary = rfsmdPath();
-      ::execl(binary.c_str(), binary.c_str(), "--socket", socketPath.c_str(),
-              "--state-dir", stateDir.c_str(), "--workers", "1",
-              "--snapshot-every", "2", static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::access(socketPath.c_str(), F_OK) == 0) return;
-      std::this_thread::sleep_for(25ms);
-    }
-    FAIL() << "rfsmd did not come up on " << socketPath;
-  }
-
-  ~Daemon() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  }
-};
-
 TEST(ReplFailover, QuorumShipsToADaemonStandbyWhichPromotesByteIdentical) {
   const SessionConfig config = smallConfig("ha", "stream");
-  const std::string socketPath =
-      "/tmp/rfsm-repl-" + std::to_string(getpid()) + "-standby.sock";
+  const std::string socketPath = freshSocketPath("standby");
   TempDir standbyDir;
   Daemon standby;
-  standby.start(socketPath, standbyDir.path);
+  ASSERT_TRUE(standby.start(socketPath, standbyDir.path))
+      << "rfsmd did not come up on " << socketPath;
 
   // An in-process primary quorum-replicating to the daemon.
   TempDir primaryDir;

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +28,8 @@
 #include "util/fsio.hpp"
 #include "util/ipc.hpp"
 
+#include "rfsmd_harness.hpp"
+
 namespace rfsm {
 namespace {
 
@@ -40,29 +41,6 @@ using service::SessionEngine;
 using service::SessionService;
 using service::SessionServiceOptions;
 using service::SessionStatus;
-
-std::string rfsmdPath() {
-  if (const char* env = std::getenv("RFSM_RFSMD")) return env;
-#ifdef RFSM_RFSMD_BUILD_PATH
-  return RFSM_RFSMD_BUILD_PATH;
-#else
-  return "rfsmd";
-#endif
-}
-
-/// A throwaway directory, removed with its contents on scope exit.
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char name[] = "/tmp/rfsm-session-XXXXXX";
-    path = mkdtemp(name);
-  }
-  ~TempDir() {
-    for (const std::string& file : fsio::listDir(path))
-      ::unlink((path + "/" + file).c_str());
-    ::rmdir(path.c_str());
-  }
-};
 
 SessionConfig smallConfig(const std::string& tenant = "t",
                           const std::string& name = "s") {
@@ -724,55 +702,6 @@ TEST(SessionService, DrainPersistsEverySession) {
 
 // --- Kill points against a real daemon ------------------------------------
 
-struct Daemon {
-  pid_t pid = -1;
-
-  void start(const std::string& socketPath, const std::string& stateDir) {
-    pid = fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-      const std::string binary = rfsmdPath();
-      ::execl(binary.c_str(), binary.c_str(), "--socket", socketPath.c_str(),
-              "--state-dir", stateDir.c_str(), "--workers", "1",
-              "--snapshot-every", "2", static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::access(socketPath.c_str(), F_OK) == 0) return;
-      std::this_thread::sleep_for(25ms);
-    }
-    FAIL() << "rfsmd did not come up on " << socketPath;
-  }
-
-  void sigkill() {
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    pid = -1;
-  }
-
-  int sigtermAndWait() {
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    pid = -1;
-    return status;
-  }
-
-  ~Daemon() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  }
-};
-
-std::string freshSocketPath(const char* tag) {
-  return "/tmp/rfsm-session-" + std::to_string(getpid()) + "-" + tag +
-         ".sock";
-}
-
 /// The global mutation schedule shared by daemon runs and the local
 /// reference engine: odd seqs defer (and compact into the next even
 /// flush), except the final mutation, which always flushes.  The flag
@@ -833,7 +762,8 @@ TEST(SessionKillPoints, EveryKillPointResumesByteIdentical) {
     std::vector<std::pair<std::uint64_t, std::string>> transcript;
 
     Daemon daemon;
-    daemon.start(socketPath, dir.path);
+    ASSERT_TRUE(daemon.start(socketPath, dir.path))
+        << "rfsmd did not come up on " << socketPath;
     service::SessionStream::Options streamOptions;
     streamOptions.endpoint = ipc::parseEndpoint(socketPath);
     streamOptions.retryFor = 10s;
@@ -843,10 +773,12 @@ TEST(SessionKillPoints, EveryKillPointResumesByteIdentical) {
       ASSERT_EQ(stream.open(open).status, SessionStatus::kOk);
       streamRange(stream, config, 1, killAfter, kMutations, &transcript);
     }
-    daemon.sigkill();
+    const int killed = daemon.stop(SIGKILL);
+    ASSERT_TRUE(WIFSIGNALED(killed));
 
     Daemon restarted;
-    restarted.start(socketPath, dir.path);
+    ASSERT_TRUE(restarted.start(socketPath, dir.path))
+        << "rfsmd did not come up on " << socketPath;
     service::SessionStream stream(streamOptions);
     const auto resumed = stream.open(openRequestFor(config));
     ASSERT_EQ(resumed.status, SessionStatus::kOk);
@@ -860,7 +792,7 @@ TEST(SessionKillPoints, EveryKillPointResumesByteIdentical) {
       EXPECT_EQ(transcript[k].second, reference[k].second)
           << "plan at seq " << reference[k].first << " diverged";
     }
-    const int status = restarted.sigtermAndWait();
+    const int status = restarted.stop(SIGTERM);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     ::unlink(socketPath.c_str());
   }
@@ -873,7 +805,8 @@ TEST(SessionKillPoints, KillMidStreamThenClientRetriesThroughRestart) {
   TempDir dir;
   const std::string socketPath = freshSocketPath("retry");
   Daemon daemon;
-  daemon.start(socketPath, dir.path);
+  ASSERT_TRUE(daemon.start(socketPath, dir.path))
+      << "rfsmd did not come up on " << socketPath;
 
   service::SessionStream::Options streamOptions;
   streamOptions.endpoint = ipc::parseEndpoint(socketPath);
@@ -883,12 +816,14 @@ TEST(SessionKillPoints, KillMidStreamThenClientRetriesThroughRestart) {
   std::vector<std::pair<std::uint64_t, std::string>> transcript;
   streamRange(stream, config, 1, 2, 4, &transcript);
 
-  daemon.sigkill();
+  const int killed = daemon.stop(SIGKILL);
+  ASSERT_TRUE(WIFSIGNALED(killed));
   // Restart concurrently with the client's next mutate: the client's
   // reconnect loop rides over the gap.
   std::thread restarter([&] {
     std::this_thread::sleep_for(300ms);
-    daemon.start(socketPath, dir.path);
+    ASSERT_TRUE(daemon.start(socketPath, dir.path))
+        << "rfsmd did not come up on " << socketPath;
   });
   streamRange(stream, config, 3, 4, 4, &transcript);
   restarter.join();
