@@ -157,7 +157,6 @@ TEST(OutputOnly, ZeroDeltasYieldsResetOnly) {
   EXPECT_TRUE(validateProgram(context, *optimal).valid);
 }
 
-/// Property sweep: output-only plans validate and never use temporaries.
 /// The output-only sweep's instance for `param` (0..14).
 MigrationContext outputOnlySweepInstance(int param) {
   Rng rng(static_cast<std::uint64_t>(param) * 503 + 7);
@@ -175,6 +174,7 @@ MigrationContext outputOnlySweepInstance(int param) {
 
 constexpr int kOutputOnlySweepSize = 15;
 
+/// Property sweep: output-only plans validate and never use temporaries.
 class OutputOnlyPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OutputOnlyPropertyTest, PlansValidateWithoutTemporaries) {
